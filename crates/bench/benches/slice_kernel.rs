@@ -10,7 +10,7 @@
 //!
 //! This target installs a counting `#[global_allocator]` so the same run
 //! that times the kernel also proves the zero-allocation claim. The
-//! counter is one relaxed `fetch_add` per allocation — and the steady
+//! counter is one thread-local increment per allocation — and the steady
 //! window performs none, which is the point.
 
 use criterion::measurement::WallTime;
@@ -21,19 +21,32 @@ use eadt_bench::kernel::{
 };
 use eadt_transfer::{Engine, NullController, TransferEnv, TransferPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counting allocator: `System` plus an allocation odometer. Duplicated
-/// in `tests/perf_gate.rs` — a `#[global_allocator]` must live in the
-/// binary target it measures, and the library forbids unsafe code.
+/// Counting allocator: `System` plus a per-thread allocation odometer.
+/// Duplicated in `tests/perf_gate.rs` — a `#[global_allocator]` must live
+/// in the binary target it measures, and the library forbids unsafe code.
+///
+/// The odometer is thread-local, so allocations made by other threads
+/// never leak into a window measured on this one.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn bump() {
+    // `try_with` fails only while the thread is being torn down; the
+    // count is then irrelevant, and an allocator must not panic.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// The odometer touches only a const-initialised thread-local `Cell<u64>`
+// without a destructor, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc(layout)
     }
 
@@ -42,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -50,8 +63,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
 /// Timed passes; the minimum is recorded so scheduler noise on small CI

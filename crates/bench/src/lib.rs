@@ -10,6 +10,7 @@
 
 pub mod ablate;
 pub mod accuracy;
+pub mod checkpoint;
 pub mod device;
 pub mod estimator;
 pub mod kernel;
