@@ -15,13 +15,15 @@
 //!   RNG splitter plus an index-bijective splitmix step, so job N's world
 //!   is the same whether it runs first on one thread or last on eight,
 //!   and no two jobs of a batch ever share a seed.
-//! * **Work stealing over an atomic cursor** ([`Session::run`]) — workers
-//!   pull the next unclaimed job index; scheduling order affects only
+//! * **One order-preserving worker pool** — [`Session::run`] and each
+//!   [`ServiceSession`] round hand their jobs to the same pool, whose
+//!   workers pull the next unclaimed job; scheduling order affects only
 //!   wall time, never results, because no job reads another job's state.
-//! * **Merge-ordered aggregation** ([`FleetReport`]) — results land in a
-//!   slot per job index and are emitted in job order. The report contains
-//!   no worker count, timestamps or wall-clock measurements, so its JSON
-//!   is byte-identical between a serial and an 8-worker run.
+//! * **Merge-ordered aggregation** ([`FleetReport`]) — the pool returns
+//!   result `i` for job `i`, so results are emitted in job order. The
+//!   report contains no worker count, timestamps or wall-clock
+//!   measurements, so its JSON is byte-identical between a serial and an
+//!   8-worker run.
 //!
 //! [`Session`] is the single entry point: the CLI's `fleet` command, the
 //! bench sweeps and the examples all build a session, describe jobs with
@@ -45,6 +47,7 @@
 
 mod dispatch;
 mod matrix;
+mod pool;
 mod rollup;
 mod seed;
 mod service;

@@ -23,9 +23,9 @@
 //! 4. arbitrates each site's pooled bandwidth and disk across its
 //!    residents ([`arbitrate`]), converting grants into per-run
 //!    [`ResourceShare`] factors;
-//! 5. advances every resident by one quantum **in parallel** (workers
-//!    over an atomic cursor — each leg is a pure function of its
-//!    checkpoint and share, so worker count cannot leak into results);
+//! 5. advances every resident by one quantum **in parallel** on the
+//!    fleet worker pool (each leg is a pure function of its checkpoint
+//!    and share, so worker count cannot leak into results);
 //! 6. books finished transfers (`job_finished`) and carries halted
 //!    engine state to the next round.
 //!
@@ -34,9 +34,10 @@
 //! `service-determinism` job enforces.
 
 use crate::dispatch::JobRunner;
+use crate::pool::{default_workers, map_ordered};
 use crate::rollup::FleetMetrics;
 use crate::seed::derive_job_seed;
-use crate::session::JobOutcome;
+use crate::session::{load_outcome, persist_outcome, JobOutcome};
 use crate::spec::JobSpec;
 use eadt_ckpt::{
     CheckpointStore, JobCheckpoint, ServiceCheckpoint, ServiceJobState,
@@ -49,8 +50,6 @@ use eadt_transfer::{EngineCheckpoint, ResourceShare, RunControl, RunOutcome, Sli
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Version stamped into [`ServiceReport`] JSON.
 pub const SERVICE_SCHEMA_VERSION: u32 = 1;
@@ -348,12 +347,9 @@ impl ServiceSessionBuilder {
 
     /// Builds the session.
     pub fn build(self) -> ServiceSession {
-        let workers = self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
         ServiceSession {
             root_seed: self.root_seed,
-            workers,
+            workers: self.workers.unwrap_or_else(default_workers),
             policy: self.policy,
             quantum: self.quantum,
             checkpoint: self.checkpoint,
@@ -643,13 +639,17 @@ impl ServiceSession {
                     arena: std::mem::take(&mut arenas[job]),
                 })
                 .collect();
-            let results = self.advance(jobs, &seeds, tasks);
+            let quantum = self.quantum;
+            let results = map_ordered(self.workers, tasks, |_, task| {
+                let job = task.job;
+                let (outcome, arena) = advance_job(&jobs[job], seeds[job], job, task, quantum);
+                (job, outcome, arena)
+            });
 
-            // 6. Collect in job-index order (journal and persistence order
+            // 6. Collect in resident order (journal and persistence order
             // must not depend on completion order).
             let end = round_start(slice, self.quantum, round + 1);
             let mut still_resident = Vec::with_capacity(state.resident.len());
-            let mut finished_now = Vec::new();
             for (job, outcome, arena) in results {
                 arenas[job] = arena;
                 match outcome {
@@ -672,12 +672,12 @@ impl ServiceSession {
                             persist_outcome(store, &outcome).map_err(ckpt_err)?;
                         }
                         state.outcome[job] = Some(outcome);
-                        finished_now.push(job);
                     }
                 }
             }
-            state.resident.retain(|j| still_resident.contains(j));
-            let _ = finished_now;
+            // The tasks were built from `state.resident` and come back in
+            // that order, so the halted ones are the new resident list.
+            state.resident = still_resident;
 
             round += 1;
             state.round = round;
@@ -693,67 +693,8 @@ impl ServiceSession {
             }
         }
 
-        let report = self.assemble(workload, &seeds, state, round)?;
+        let report = self.assemble(workload, &seeds, &arrivals, state, round)?;
         Ok(ServiceRun { report, journal })
-    }
-
-    /// Runs the round's residents, each for one quantum, on the worker
-    /// pool. Results come back keyed by job index.
-    fn advance(
-        &self,
-        jobs: &[ServiceJob],
-        seeds: &[u64],
-        tasks: Vec<AdvanceTask>,
-    ) -> Vec<(usize, Advanced, SliceArena)> {
-        let quantum = self.quantum;
-        let slots: Vec<Mutex<Option<(usize, Advanced, SliceArena)>>> =
-            tasks.iter().map(|_| Mutex::new(None)).collect();
-        let run_one = |task: AdvanceTask| {
-            let job = task.job;
-            let (outcome, arena) = advance_job(&jobs[job], seeds[job], job, task, quantum);
-            (job, outcome, arena)
-        };
-        let workers = self.workers.min(tasks.len()).max(1);
-        if workers == 1 {
-            for (slot, task) in slots.iter().zip(tasks) {
-                let result = run_one(task);
-                *slot
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-            }
-        } else {
-            let tasks: Vec<Mutex<Option<AdvanceTask>>> =
-                tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(task_slot) = tasks.get(index) else {
-                            break;
-                        };
-                        let Some(task) = task_slot
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .take()
-                        else {
-                            continue;
-                        };
-                        let result = run_one(task);
-                        *slots[index]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-                    });
-                }
-            });
-        }
-        slots
-            .into_iter()
-            .filter_map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            })
-            .collect()
     }
 
     /// Persists a cadence snapshot (engine checkpoints first, the
@@ -816,15 +757,22 @@ impl ServiceSession {
         let jobs = workload.jobs();
         let mut state = SchedulerState::fresh(jobs.len());
         state.round = ck.round;
-        let in_range = |j: &u32| (*j as usize) < jobs.len();
-        if !ck.queue.iter().all(in_range)
-            || !ck.resident.iter().all(in_range)
-            || !ck.finished.iter().all(in_range)
-        {
-            return Err(EadtError::invalid_argument(
-                "service checkpoint",
-                "job index out of range for this workload",
-            ));
+        // Every job sits in at most one of the three lists: a job listed
+        // twice would be admitted twice and advanced by two tasks a round.
+        let mut listed = vec![false; jobs.len()];
+        for &j in ck.queue.iter().chain(&ck.resident).chain(&ck.finished) {
+            let Some(seen) = listed.get_mut(j as usize) else {
+                return Err(EadtError::invalid_argument(
+                    "service checkpoint",
+                    "job index out of range for this workload",
+                ));
+            };
+            if std::mem::replace(seen, true) {
+                return Err(EadtError::invalid_argument(
+                    "service checkpoint",
+                    format!("job {j} is listed more than once across queue, resident and finished"),
+                ));
+            }
         }
         for js in &ck.jobs {
             let i = js.job as usize;
@@ -907,17 +855,11 @@ impl ServiceSession {
         &self,
         workload: &Workload,
         seeds: &[u64],
+        arrivals: &[u64],
         state: SchedulerState,
         rounds: u64,
     ) -> Result<ServiceReport, EadtError> {
         let jobs = workload.jobs();
-        let arrivals = {
-            let slice = jobs
-                .first()
-                .map(|j| j.spec.env.env.tuning.slice)
-                .unwrap_or_else(|| eadt_sim::SimDuration::from_secs_f64(0.1));
-            workload.arrival_rounds(self.root_seed, slice.as_secs_f64() * self.quantum as f64)
-        };
         let mut outcomes = Vec::with_capacity(jobs.len());
         for (i, slot) in state.outcome.into_iter().enumerate() {
             let outcome = slot.map(|b| *b).unwrap_or_else(|| {
@@ -1047,48 +989,15 @@ fn advance_job(
             index, &job.spec, seed, report, None,
         ))),
         Ok(RunOutcome::Halted(engine)) => Advanced::Halted(engine),
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_string());
-            Advanced::Finished(Box::new(JobOutcome::failed(
-                index,
-                &job.spec,
-                seed,
-                EadtError::job_failed(
-                    job.spec.display_label(),
-                    format!("worker panicked in service job {index}: {message}"),
-                ),
-            )))
-        }
+        Err(payload) => Advanced::Finished(Box::new(JobOutcome::panicked(
+            index,
+            &job.spec,
+            seed,
+            "service job",
+            payload,
+        ))),
     };
     (outcome, arena)
-}
-
-/// Writes a finished job's outcome (and retires its engine checkpoint).
-fn persist_outcome(
-    store: &CheckpointStore,
-    outcome: &JobOutcome,
-) -> Result<(), eadt_ckpt::CkptError> {
-    let mut text = serde_json::to_string_pretty(outcome).unwrap_or_else(|_| "{}".to_string());
-    text.push('\n');
-    store.write(&CheckpointStore::outcome_name(outcome.job), &text)?;
-    store.remove(&CheckpointStore::checkpoint_name(outcome.job))
-}
-
-/// Loads a finished job's persisted outcome if it matches the job.
-fn load_outcome(
-    store: &CheckpointStore,
-    index: usize,
-    spec: &JobSpec,
-    seed: u64,
-) -> Option<JobOutcome> {
-    let text = store.read(&CheckpointStore::outcome_name(index)).ok()??;
-    let outcome: JobOutcome = serde_json::from_str(&text).ok()?;
-    (outcome.job == index && outcome.label == spec.display_label() && outcome.seed == seed)
-        .then_some(outcome)
 }
 
 fn ckpt_err(e: eadt_ckpt::CkptError) -> EadtError {
@@ -1483,6 +1392,71 @@ mod tests {
         let resumed = session.resume(&workload).unwrap();
         assert_eq!(resumed.report.to_json(), straight.report.to_json());
         assert_eq!(resumed.journal.to_jsonl(), straight.journal.to_jsonl());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_rejects_a_job_listed_twice() {
+        let workload = two_tenant_workload(2);
+        let dir = std::env::temp_dir().join(format!("eadt-service-dup-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = ServiceSession::builder()
+            .root_seed(21)
+            .workers(1)
+            .quantum(60)
+            .checkpoints(&dir, 1)
+            .build();
+        // A straight run leaves both jobs' outcome files; job 0 also gets
+        // an engine checkpoint so it can be listed as resident.
+        session.run(&workload).unwrap();
+        let store = CheckpointStore::create(&dir).unwrap();
+        let spec0 = &workload.jobs()[0].spec;
+        let seed0 = derive_job_seed(21, 0);
+        let RunOutcome::Halted(engine) =
+            JobRunner::prepare(spec0, seed0).run_controlled(RunControl::halt_at(60))
+        else {
+            panic!("job too short to interrupt")
+        };
+        store
+            .save_job_checkpoint(&JobCheckpoint {
+                schema: JOB_CHECKPOINT_SCHEMA_VERSION,
+                job: 0,
+                label: spec0.display_label(),
+                algorithm: spec0.kind.name().to_string(),
+                seed: seed0,
+                engine: *engine,
+            })
+            .unwrap();
+
+        // Hand-written checkpoints, valid except that job 0 sits in two
+        // lists: finished and queued, then queued and resident.
+        for (queue, resident, finished) in [(vec![0], vec![], vec![0]), (vec![0], vec![0], vec![])]
+        {
+            store
+                .save_service_checkpoint(&ServiceCheckpoint {
+                    version: SERVICE_CHECKPOINT_SCHEMA_VERSION,
+                    fingerprint: workload.fingerprint(session.policy(), session.quantum()),
+                    root_seed: 21,
+                    round: 1,
+                    queue,
+                    resident,
+                    finished,
+                    jobs: (0..2)
+                        .map(|i| ServiceJobState {
+                            job: i,
+                            admitted_round: (i == 0).then_some(0),
+                            finished_round: None,
+                            preemptions: 0,
+                        })
+                        .collect(),
+                    journal_seq: 0,
+                })
+                .unwrap();
+            let err = session
+                .resume(&workload)
+                .expect_err("a job listed twice must not resume");
+            assert!(err.to_string().contains("listed more than once"), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

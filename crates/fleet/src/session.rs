@@ -1,19 +1,19 @@
-//! The batch session: scoped worker threads over an atomic job cursor,
-//! merge-ordered results, optional crash-safe checkpointing.
+//! The batch session: jobs on the fleet worker pool, merge-ordered
+//! results, optional crash-safe checkpointing.
 
 use crate::dispatch::{run_job, JobRunner};
+use crate::pool::{default_workers, map_ordered};
 use crate::rollup::FleetMetrics;
 use crate::seed::derive_job_seed;
 use crate::spec::JobSpec;
-use eadt_ckpt::{CheckpointStore, JobCheckpoint, JOB_CHECKPOINT_SCHEMA_VERSION};
-use eadt_sim::{EadtError, ErrorKind, SimDuration};
+use eadt_ckpt::{CheckpointStore, CkptError, JobCheckpoint, JOB_CHECKPOINT_SCHEMA_VERSION};
+use eadt_sim::{EadtError, SimDuration};
 use eadt_telemetry::{EnergyLedger, MetricsRegistry, MetricsSnapshot, Telemetry};
 use eadt_transfer::{RunControl, RunOutcome, TransferReport};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Version stamped into [`FleetReport`] JSON. Version 2 added the
 /// per-job rollup fields (wire/retry counters, the energy ledger, the
@@ -70,12 +70,9 @@ impl SessionBuilder {
 
     /// Builds the session.
     pub fn build(self) -> Session {
-        let workers = self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
         Session {
             root_seed: self.root_seed,
-            workers,
+            workers: self.workers.unwrap_or_else(default_workers),
             checkpoint: self
                 .checkpoint
                 .map(|(dir, every)| Checkpointing { dir, every }),
@@ -145,8 +142,8 @@ impl Session {
 
     /// Runs the batch and returns results merged in job order.
     ///
-    /// Workers claim jobs from an atomic cursor (work stealing over the
-    /// job queue): a slow job never stalls the others, and because each
+    /// Workers claim jobs from a shared queue (work stealing over the
+    /// batch): a slow job never stalls the others, and because each
     /// job's seed depends only on `(root_seed, index)`, claiming order
     /// cannot leak into results. A worker that panics inside a job books
     /// an [`EadtError::JobFailed`] outcome for that job and moves on.
@@ -193,8 +190,8 @@ impl Session {
         }
     }
 
-    /// Shared worker-pool core; `run` is injectable so tests can drive
-    /// the panic path deterministically.
+    /// Runs the batch on the worker pool; `run` is injectable so tests
+    /// can drive the panic path deterministically.
     fn run_inner(
         &self,
         jobs: &[JobSpec],
@@ -202,44 +199,9 @@ impl Session {
         run: &(dyn Fn(usize, &JobSpec, u64) -> JobRun + Sync),
     ) -> FleetReport {
         let checkpoint = self.checkpoint.as_ref();
-        let slots: Vec<Mutex<Option<JobOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        let workers = self.workers.min(jobs.len()).max(1);
-        if workers == 1 {
-            for (index, job) in jobs.iter().enumerate() {
-                store(
-                    &slots[index],
-                    execute_job(checkpoint, resume, self.root_seed, index, job, run),
-                );
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(index) else { break };
-                        store(
-                            &slots[index],
-                            execute_job(checkpoint, resume, self.root_seed, index, job, run),
-                        );
-                    });
-                }
-            });
-        }
-        let jobs: Vec<JobOutcome> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .unwrap_or_else(|| {
-                        // Unreachable: every index below jobs.len() is
-                        // claimed exactly once. Book it as a failure
-                        // rather than panicking the aggregator.
-                        JobOutcome::lost(index)
-                    })
-            })
-            .collect();
+        let jobs = map_ordered(self.workers, jobs.iter().collect(), |index, job| {
+            execute_job(checkpoint, resume, self.root_seed, index, job, run)
+        });
         let metrics = FleetMetrics::rollup(&jobs);
         FleetReport {
             schema: FLEET_SCHEMA_VERSION,
@@ -248,12 +210,6 @@ impl Session {
             jobs,
         }
     }
-}
-
-fn store(slot: &Mutex<Option<JobOutcome>>, outcome: JobOutcome) {
-    *slot
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
 }
 
 fn execute_job(
@@ -269,7 +225,8 @@ fn execute_job(
         .unwrap_or_else(|| derive_job_seed(root_seed, index as u64));
     if resume {
         if let Some(cfg) = checkpoint {
-            if let Some(outcome) = load_finished_outcome(cfg, index, job, seed) {
+            let store = CheckpointStore::create(&cfg.dir).ok();
+            if let Some(outcome) = store.and_then(|s| load_outcome(&s, index, job, seed)) {
                 return outcome;
             }
         }
@@ -278,29 +235,11 @@ fn execute_job(
         let (report, metrics) = run(index, job, seed);
         let outcome = JobOutcome::from_report(index, job, seed, report, metrics);
         if let Some(cfg) = checkpoint {
-            persist_outcome(cfg, &outcome);
+            persist_outcome(&cfg.open(), &outcome).unwrap_or_else(|e| panic!("{e}"));
         }
         outcome
     }));
-    match executed {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_string());
-            JobOutcome::failed(
-                index,
-                job,
-                seed,
-                EadtError::job_failed(
-                    job.display_label(),
-                    format!("worker panicked in job {index}: {message}"),
-                ),
-            )
-        }
-    }
+    executed.unwrap_or_else(|payload| JobOutcome::panicked(index, job, seed, "job", payload))
 }
 
 /// Runs one job under the checkpoint cadence: halt every `every` slices,
@@ -361,30 +300,26 @@ fn run_job_checkpointed(
     }
 }
 
-/// Writes the final outcome and retires the job's checkpoint.
-fn persist_outcome(cfg: &Checkpointing, outcome: &JobOutcome) {
-    let store = cfg.open();
+/// Writes a finished job's outcome and retires its engine checkpoint.
+pub(crate) fn persist_outcome(
+    store: &CheckpointStore,
+    outcome: &JobOutcome,
+) -> Result<(), CkptError> {
     let mut text = serde_json::to_string_pretty(outcome).unwrap_or_else(|_| "{}".to_string());
     text.push('\n');
-    store
-        .write(&CheckpointStore::outcome_name(outcome.job), &text)
-        .unwrap_or_else(|e| panic!("{e}"));
-    store
-        .remove(&CheckpointStore::checkpoint_name(outcome.job))
-        .unwrap_or_else(|e| panic!("{e}"));
+    store.write(&CheckpointStore::outcome_name(outcome.job), &text)?;
+    store.remove(&CheckpointStore::checkpoint_name(outcome.job))
 }
 
 /// Loads a finished job's persisted outcome, if it exists and matches the
-/// job it is being re-admitted for. Any mismatch or read problem falls
-/// back to `None` — re-running the job reproduces the identical outcome,
-/// so recomputing is always a safe answer.
-fn load_finished_outcome(
-    cfg: &Checkpointing,
+/// job it is being re-admitted for. Any mismatch or read problem gives
+/// `None`; the caller decides whether that means re-running the job.
+pub(crate) fn load_outcome(
+    store: &CheckpointStore,
     index: usize,
     job: &JobSpec,
     seed: u64,
 ) -> Option<JobOutcome> {
-    let store = CheckpointStore::create(&cfg.dir).ok()?;
     let text = store.read(&CheckpointStore::outcome_name(index)).ok()??;
     let outcome: JobOutcome = serde_json::from_str(&text).ok()?;
     (outcome.job == index && outcome.label == job.display_label() && outcome.seed == seed)
@@ -525,32 +460,31 @@ impl JobOutcome {
         }
     }
 
-    fn lost(index: usize) -> Self {
-        JobOutcome {
-            job: index,
-            label: format!("job-{index}"),
-            algorithm: String::new(),
-            environment: String::new(),
-            seed: 0,
-            completed: false,
-            moved_bytes: 0,
-            requested_bytes: 0,
-            duration_s: 0.0,
-            throughput_mbps: 0.0,
-            energy_j: 0.0,
-            efficiency: 0.0,
-            failures: 0,
-            wire_bytes: 0,
-            packets: 0,
-            retries: 0,
-            breaker_opens: 0,
-            retransmitted_bytes: 0,
-            ledger: EnergyLedger::default(),
-            metrics: None,
-            error_kind: Some(ErrorKind::JobFailed.as_str().to_string()),
-            error: Some("job result slot was never filled".to_string()),
-            report: None,
-        }
+    /// Books a panic caught while running job `index` as its
+    /// `JobFailed` outcome. The message reads `worker panicked in
+    /// {what} {index}: …` with the payload's text when it is a `&str` or
+    /// `String`.
+    pub(crate) fn panicked(
+        index: usize,
+        job: &JobSpec,
+        seed: u64,
+        what: &str,
+        payload: Box<dyn Any + Send>,
+    ) -> Self {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "worker panicked".to_string());
+        JobOutcome::failed(
+            index,
+            job,
+            seed,
+            EadtError::job_failed(
+                job.display_label(),
+                format!("worker panicked in {what} {index}: {message}"),
+            ),
+        )
     }
 }
 
@@ -689,6 +623,34 @@ mod tests {
         assert!(err.contains("job 1"), "{err}");
         assert!(report.jobs[0].error.is_none());
         assert!(report.jobs[2].error.is_none());
+    }
+
+    #[test]
+    fn panic_payloads_map_to_the_failure_text() {
+        let job = &small_jobs()[0];
+        let text = |payload: Box<dyn Any + Send>| {
+            JobOutcome::panicked(4, job, 1, "job", payload)
+                .error
+                .expect("a panicked job carries an error")
+        };
+        let label = job.display_label();
+        assert_eq!(
+            text(Box::new("str payload")),
+            format!("job {label} failed: worker panicked in job 4: str payload")
+        );
+        assert_eq!(
+            text(Box::new(String::from("string payload"))),
+            format!("job {label} failed: worker panicked in job 4: string payload")
+        );
+        assert_eq!(
+            text(Box::new(17u32)),
+            format!("job {label} failed: worker panicked in job 4: worker panicked")
+        );
+        let service = JobOutcome::panicked(4, job, 1, "service job", Box::new("x"));
+        assert_eq!(service.error_kind.as_deref(), Some("job-failed"));
+        assert!(service
+            .error
+            .is_some_and(|e| e.ends_with("worker panicked in service job 4: x")));
     }
 
     #[test]
