@@ -288,6 +288,87 @@ fn serve_preempt_resume_digest() -> String {
     )
 }
 
+/// A contended service mix on one shared XSEDE site: all seven figure
+/// algorithms for two tenants, half of them under a channel-fault plan
+/// with the fault-aware wrapper, admitted through three core slots at a
+/// 20-slice quantum. The quantum is shorter than the HTEE/SLAEE probe
+/// window, so controller state rides across many halt/resume legs. Under
+/// strict priority the run must preempt queued challengers' victims and
+/// evict zero-grant residents; both policies are pinned.
+fn serve_mix_digests() -> String {
+    use eadt::endsys::{ArbitrationPolicy, PoolCapacity};
+    use eadt::fleet::{JobSpec, ServiceJob, ServiceSession, Workload};
+    const KINDS: [AlgorithmKind; 7] = [
+        AlgorithmKind::MinE,
+        AlgorithmKind::Htee,
+        AlgorithmKind::Slaee,
+        AlgorithmKind::Guc,
+        AlgorithmKind::Go,
+        AlgorithmKind::Sc,
+        AlgorithmKind::ProMc,
+    ];
+    let tb = xsede();
+    let pool = PoolCapacity::from_servers(tb.env.link.bandwidth, &tb.env.src.servers, 3);
+    let mut workload = Workload::new().site("xsede", pool).arrival_gap_s(4.0);
+    for tenant in 0..2u32 {
+        for (i, kind) in KINDS.into_iter().enumerate() {
+            let mut spec = JobSpec::new(kind, xsede())
+                .with_scale(0.01)
+                .with_max_channel(4);
+            if (i as u32 + tenant) % 2 == 1 {
+                spec = spec
+                    .with_faults(FaultPlan::channel_only(FaultModel::new(
+                        SimDuration::from_secs(20),
+                        29 + i as u64,
+                    )))
+                    .with_fault_aware(true);
+            }
+            workload = workload.job(
+                ServiceJob::new(spec, "xsede")
+                    .with_tenant(tenant)
+                    .with_priority(tenant * 4 + (i as u32 % 3))
+                    .with_weight(1.0 + f64::from(tenant)),
+            );
+        }
+    }
+    let mut lines = String::new();
+    for (policy, name) in [
+        (ArbitrationPolicy::FairShare, "fair"),
+        (ArbitrationPolicy::StrictPriority, "priority"),
+    ] {
+        let run = ServiceSession::builder()
+            .root_seed(13)
+            .workers(2)
+            .policy(policy)
+            .quantum(20)
+            .build()
+            .run(&workload)
+            .expect("workload is valid");
+        assert_eq!(run.report.completed_count(), 14, "{name}");
+        let journal = run.journal.to_jsonl();
+        if policy == ArbitrationPolicy::StrictPriority {
+            let preemptions: u32 = run.report.jobs.iter().map(|j| j.preemptions).sum();
+            assert!(preemptions >= 5, "{name}: only {preemptions} preemptions");
+            let zero_grant = run.journal.records().iter().any(|r| {
+                matches!(
+                    r.event,
+                    eadt::telemetry::Event::JobPreempted { by: None, .. }
+                )
+            });
+            assert!(
+                zero_grant,
+                "{name}: golden mix must evict a zero-grant resident"
+            );
+        }
+        lines.push_str(&format!(
+            "serve/mix-{name} report={:016x} journal={:016x}\n",
+            fnv1a(run.report.to_json().as_bytes()),
+            fnv1a(journal.as_bytes())
+        ));
+    }
+    lines
+}
+
 #[test]
 fn golden_digests_match_the_seed_engine() {
     let mut lines = String::new();
@@ -305,6 +386,7 @@ fn golden_digests_match_the_seed_engine() {
         }
     }
     lines.push_str(&serve_preempt_resume_digest());
+    lines.push_str(&serve_mix_digests());
     if std::env::var_os("EADT_REGEN_GOLDEN").is_some() {
         std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"))
             .expect("golden dir");
