@@ -47,7 +47,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("mine_large_unpinned", |b| {
         let algo = MinE::new(8);
         b.iter(|| {
-            let mut plan = algo.plan(&tb.env, &dataset);
+            let mut plan = algo.plan(&tb.env, &dataset).plan;
             for chunk in &mut plan.stages[0].chunks {
                 chunk.accepts_reallocation = true; // lift the energy guard
             }
@@ -57,7 +57,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("placement_packed_vs_spread", |b| {
         let algo = MinE::new(8);
         b.iter(|| {
-            let mut plan = algo.plan(&tb.env, &dataset);
+            let mut plan = algo.plan(&tb.env, &dataset).plan;
             plan.placement = Placement::RoundRobin;
             black_box(Engine::new(&tb.env).run(&plan, &mut NullController))
         })

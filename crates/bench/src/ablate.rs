@@ -123,7 +123,7 @@ pub fn ablation_matrix(tb: &Environment, dataset: &Dataset, max_channel: u32) ->
             "pinned (paper)",
             &pinned,
         ));
-        let mut plan = mine.plan(env, dataset);
+        let mut plan = mine.plan(env, dataset).plan;
         for c in &mut plan.stages[0].chunks {
             c.accepts_reallocation = true;
         }
@@ -147,7 +147,7 @@ pub fn ablation_matrix(tb: &Environment, dataset: &Dataset, max_channel: u32) ->
             &format!("pack-first cc={cc} (paper)"),
             &packed,
         ));
-        let mut plan = promc.plan(env, dataset);
+        let mut plan = promc.plan(env, dataset).plan;
         plan.placement = Placement::RoundRobin;
         let spread = Engine::new(env).run(&plan, &mut NullController);
         rows.push(AblationRow::new(

@@ -114,7 +114,15 @@ fn turbulent_slices_allocate_a_bounded_constant() {
 /// Kernel wall time per executed steady slice versus the committed
 /// ceiling. Minimum over several passes, so scheduler noise on a busy CI
 /// host must hit every pass to fake a regression.
+///
+/// The ceiling is calibrated for the release profile, so the gate runs
+/// only there (CI's release `perf-gate` job); a debug build reports it
+/// as ignored instead of failing on an unoptimised kernel.
 #[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "ns/slice ceiling is calibrated for release builds; run with --release"
+)]
 fn kernel_throughput_within_committed_threshold() {
     const PASSES: usize = 5;
     let gate = KernelGate::load();

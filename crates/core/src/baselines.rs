@@ -18,14 +18,10 @@
 //!   the 100% mark of Figures 2c/3c/4c.
 
 use crate::planner::Planner;
-use crate::{Algorithm, RunCtx};
+use crate::{Algorithm, PlannedRun, RunCtx};
 use eadt_dataset::{partition, partition_globus_online, Dataset, PartitionConfig, SizeClass};
 use eadt_endsys::Placement;
-
-use eadt_transfer::{
-    ChunkPlan, Engine, FaultAware, NullController, RunControl, RunOutcome, TransferEnv,
-    TransferPlan, TransferReport,
-};
+use eadt_transfer::{ChunkPlan, NullController, TransferEnv, TransferPlan, TransferReport};
 use serde::{Deserialize, Serialize};
 
 /// globus-url-copy with no parameter tuning (the paper's base case: "a
@@ -45,20 +41,13 @@ impl Algorithm for GlobusUrlCopy {
         "GUC"
     }
 
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
-    }
-
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
+    fn plan(&self, _env: &TransferEnv, dataset: &Dataset) -> PlannedRun {
         let plan = eadt_transfer::uniform_plan(
             dataset,
             eadt_transfer::TransferParams::BASELINE,
             Placement::RoundRobin,
         );
-        Engine::new(env).run_controlled_in(&plan, &mut NullController, tel, ctl, arena)
+        PlannedRun::new(plan, NullController, false)
     }
 }
 
@@ -88,16 +77,8 @@ impl Algorithm for GlobusOnline {
         "GO"
     }
 
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
-    }
-
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
-        let chunks = partition_globus_online(dataset);
-        let chunk_plans: Vec<ChunkPlan> = chunks
+    fn plan(&self, _env: &TransferEnv, dataset: &Dataset) -> PlannedRun {
+        let chunk_plans: Vec<ChunkPlan> = partition_globus_online(dataset)
             .iter()
             .map(|chunk| {
                 let (pp, p) = Self::params_for(chunk.class);
@@ -107,7 +88,7 @@ impl Algorithm for GlobusOnline {
         // GO transfers partitions one by one and spreads its channels over
         // all of the site's servers.
         let plan = TransferPlan::sequential(chunk_plans, Placement::RoundRobin);
-        Engine::new(env).run_controlled_in(&plan, &mut NullController, tel, ctl, arena)
+        PlannedRun::new(plan, NullController, false)
     }
 }
 
@@ -135,29 +116,12 @@ impl Algorithm for SingleChunk {
         "SC"
     }
 
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
-    }
-
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
+    fn plan(&self, env: &TransferEnv, dataset: &Dataset) -> PlannedRun {
         let chunks = partition(dataset, env.link.bdp(), &self.partition);
-        let chunk_plans: Vec<ChunkPlan> = chunks
-            .iter()
-            .map(|chunk| {
-                let params = Planner::new(&env.link).chunk_params(chunk);
-                ChunkPlan::from_chunk(
-                    chunk,
-                    params.pipelining,
-                    params.parallelism,
-                    self.concurrency,
-                )
-            })
-            .collect();
+        let channels = vec![self.concurrency; chunks.len()];
+        let chunk_plans = Planner::new(&env.link).chunk_plans(&chunks, &channels);
         let plan = TransferPlan::sequential(chunk_plans, Placement::PackFirst);
-        Engine::new(env).run_controlled_in(&plan, &mut NullController, tel, ctl, arena)
+        PlannedRun::new(plan, NullController, false)
     }
 }
 
@@ -168,9 +132,9 @@ pub struct ProMc {
     pub concurrency: u32,
     /// BDP-relative partitioning thresholds.
     pub partition: PartitionConfig,
-    /// Run under a [`FaultAware`] wrapper: shed concurrency while servers
-    /// are quarantined, re-ramp on recovery (the static plan is otherwise
-    /// kept as-is).
+    /// Run under a [`FaultAware`](eadt_transfer::FaultAware) wrapper:
+    /// shed concurrency while servers are quarantined, re-ramp on
+    /// recovery (the static plan is otherwise kept as-is).
     #[serde(default)]
     pub fault_aware: bool,
 }
@@ -184,21 +148,6 @@ impl ProMc {
             fault_aware: false,
         }
     }
-
-    /// Builds ProMC's static plan (shared with BruteForce).
-    pub fn plan(&self, env: &TransferEnv, dataset: &Dataset) -> TransferPlan {
-        let chunks = partition(dataset, env.link.bdp(), &self.partition);
-        let alloc = Planner::new(&env.link).weight_allocation(&chunks, self.concurrency);
-        let chunk_plans: Vec<ChunkPlan> = chunks
-            .iter()
-            .zip(&alloc)
-            .map(|(chunk, &channels)| {
-                let params = Planner::new(&env.link).chunk_params(chunk);
-                ChunkPlan::from_chunk(chunk, params.pipelining, params.parallelism, channels)
-            })
-            .collect();
-        TransferPlan::concurrent(chunk_plans, Placement::PackFirst)
-    }
 }
 
 impl Algorithm for ProMc {
@@ -206,26 +155,13 @@ impl Algorithm for ProMc {
         "ProMC"
     }
 
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
-    }
-
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
-        let plan = self.plan(env, dataset);
-        if self.fault_aware {
-            Engine::new(env).run_controlled_in(
-                &plan,
-                &mut FaultAware::new(NullController),
-                tel,
-                ctl,
-                arena,
-            )
-        } else {
-            Engine::new(env).run_controlled_in(&plan, &mut NullController, tel, ctl, arena)
-        }
+    fn plan(&self, env: &TransferEnv, dataset: &Dataset) -> PlannedRun {
+        let planner = Planner::new(&env.link);
+        let chunks = partition(dataset, env.link.bdp(), &self.partition);
+        let alloc = planner.weight_allocation(&chunks, self.concurrency);
+        let plan =
+            TransferPlan::concurrent(planner.chunk_plans(&chunks, &alloc), Placement::PackFirst);
+        PlannedRun::new(plan, NullController, self.fault_aware)
     }
 }
 
@@ -280,24 +216,18 @@ impl Algorithm for BruteForce {
         "BF"
     }
 
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
-    }
-
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        // The sweep itself runs uninstrumented; only the winning level is
-        // re-run through the caller's context so the journal shows one
-        // coherent transfer. On resume the sweep replays deterministically
-        // before the final run rejoins the checkpoint.
-        let (level, _) = self.best(ctx.env(), ctx.dataset());
-        let promc = ProMc {
+    /// Sweeps (uninstrumented) for the best level, then plans ProMC at
+    /// it: only the winning level runs through the caller's context, so
+    /// the journal shows one coherent transfer. A caller that keeps the
+    /// planned run pays for the sweep once per job, not once per leg.
+    fn plan(&self, env: &TransferEnv, dataset: &Dataset) -> PlannedRun {
+        let (level, _) = self.best(env, dataset);
+        ProMc {
             concurrency: level,
             partition: self.partition,
             fault_aware: false,
-        };
-        promc.run_controlled(ctx, ctl)
+        }
+        .plan(env, dataset)
     }
 }
 

@@ -19,13 +19,6 @@ enum TelSlot<'a> {
     Borrowed(&'a mut Telemetry),
 }
 
-enum ArenaSlot<'a> {
-    // Boxed: the arena's inline columns would otherwise dominate the
-    // enum (clippy::large_enum_variant) and every RunCtx on the stack.
-    Owned(Box<SliceArena>),
-    Borrowed(&'a mut SliceArena),
-}
-
 /// Everything one [`Algorithm::run`](crate::Algorithm::run) call needs:
 /// environment, dataset, telemetry, fault plan.
 ///
@@ -38,7 +31,9 @@ pub struct RunCtx<'a> {
     env: Cow<'a, TransferEnv>,
     dataset: &'a Dataset,
     tel: TelSlot<'a>,
-    arena: ArenaSlot<'a>,
+    // Boxed: the arena's inline columns would otherwise dominate every
+    // RunCtx on the stack.
+    arena: Box<SliceArena>,
 }
 
 impl<'a> RunCtx<'a> {
@@ -49,7 +44,7 @@ impl<'a> RunCtx<'a> {
             env: Cow::Borrowed(env),
             dataset,
             tel: TelSlot::Owned(Telemetry::disabled()),
-            arena: ArenaSlot::Owned(Box::default()),
+            arena: Box::default(),
         }
     }
 
@@ -64,21 +59,8 @@ impl<'a> RunCtx<'a> {
             env: Cow::Borrowed(env),
             dataset,
             tel: TelSlot::Borrowed(tel),
-            arena: ArenaSlot::Owned(Box::default()),
+            arena: Box::default(),
         }
-    }
-
-    /// Lends a caller-owned [`SliceArena`] to every engine run this
-    /// context dispatches (see
-    /// [`Engine::run_controlled_in`](eadt_transfer::Engine::run_controlled_in)):
-    /// the arena's buffer capacity then survives beyond this context, so a
-    /// caller re-running jobs — the fleet service advancing a resident
-    /// every quantum — stops paying engine-scratch allocations. Without
-    /// this the context owns a private arena, which is just as correct but
-    /// warms up from cold each time.
-    pub fn use_arena(&mut self, arena: &'a mut SliceArena) -> &mut Self {
-        self.arena = ArenaSlot::Borrowed(arena);
-        self
     }
 
     /// Replaces the environment's fault plan for this run (clones the
@@ -123,10 +105,6 @@ impl<'a> RunCtx<'a> {
             TelSlot::Owned(t) => t,
             TelSlot::Borrowed(t) => &mut **t,
         };
-        let arena = match &mut self.arena {
-            ArenaSlot::Owned(a) => a,
-            ArenaSlot::Borrowed(a) => &mut **a,
-        };
-        (self.env.as_ref(), self.dataset, tel, arena)
+        (self.env.as_ref(), self.dataset, tel, &mut self.arena)
     }
 }

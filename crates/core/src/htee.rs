@@ -1,14 +1,13 @@
 //! Algorithm 2 — the High Throughput Energy-Efficient (HTEE) algorithm.
 
 use crate::planner::{weight_allocation_live, Planner};
-use crate::{Algorithm, RunCtx};
+use crate::{Algorithm, PlannedRun};
 use eadt_dataset::{partition, Chunk, Dataset, PartitionConfig};
 use eadt_endsys::Placement;
 use eadt_sim::{SimDuration, SimTime};
 use eadt_telemetry::Event;
 use eadt_transfer::{
-    ChunkPlan, ControlAction, Controller, ControllerSnapshot, Engine, FaultAware, RunControl,
-    RunOutcome, SliceCtx, TransferEnv, TransferPlan, TransferReport,
+    ControlAction, Controller, ControllerSnapshot, SliceCtx, TransferEnv, TransferPlan,
 };
 use serde::{Deserialize, Serialize};
 
@@ -41,7 +40,8 @@ pub struct Htee {
     /// (background traffic, faults). `None` (the paper's behaviour) commits
     /// once and never looks back.
     pub reprobe_interval: Option<SimDuration>,
-    /// Wrap the search controller in [`FaultAware`]: shed concurrency while
+    /// Wrap the search controller in
+    /// [`FaultAware`](eadt_transfer::FaultAware): shed concurrency while
     /// servers are quarantined, re-ramp on recovery.
     #[serde(default)]
     pub fault_aware: bool,
@@ -78,39 +78,18 @@ impl Algorithm for Htee {
         "HTEE"
     }
 
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
-    }
-
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
+    fn plan(&self, env: &TransferEnv, dataset: &Dataset) -> PlannedRun {
+        let planner = Planner::new(&env.link);
         let chunks = self.chunks(env, dataset);
         let levels = self.search_levels();
-        let first_alloc = Planner::new(&env.link).weight_allocation(&chunks, levels[0]);
-        let chunk_plans: Vec<ChunkPlan> = chunks
-            .iter()
-            .zip(&first_alloc)
-            .map(|(chunk, &channels)| {
-                let params = Planner::new(&env.link).chunk_params(chunk);
-                ChunkPlan::from_chunk(chunk, params.pipelining, params.parallelism, channels)
-            })
-            .collect();
-        let plan = TransferPlan::concurrent(chunk_plans, Placement::PackFirst);
+        let first_alloc = planner.weight_allocation(&chunks, levels[0]);
+        let plan = TransferPlan::concurrent(
+            planner.chunk_plans(&chunks, &first_alloc),
+            Placement::PackFirst,
+        );
         let mut controller = HteeController::new(chunks, levels, self.probe_window);
         controller.reprobe_interval = self.reprobe_interval;
-        if self.fault_aware {
-            Engine::new(env).run_controlled_in(
-                &plan,
-                &mut FaultAware::new(controller),
-                tel,
-                ctl,
-                arena,
-            )
-        } else {
-            Engine::new(env).run_controlled_in(&plan, &mut controller, tel, ctl, arena)
-        }
+        PlannedRun::new(plan, controller, self.fault_aware)
     }
 }
 
@@ -411,7 +390,9 @@ impl Controller for HteeController {
 mod tests {
     use super::*;
     use crate::test_support::{mixed_dataset, wan_env};
+    use crate::RunCtx;
     use eadt_telemetry::Telemetry;
+    use eadt_transfer::{ChunkPlan, Engine};
 
     #[test]
     fn search_levels_stride_two() {

@@ -1,15 +1,10 @@
 //! Algorithm 1 — the Minimum Energy (MinE) transfer algorithm.
 
 use crate::planner::Planner;
-use crate::{Algorithm, RunCtx};
+use crate::{Algorithm, PlannedRun};
 use eadt_dataset::{partition, Dataset, PartitionConfig, SizeClass};
 use eadt_endsys::Placement;
-use eadt_sim::SimTime;
-use eadt_telemetry::Event;
-use eadt_transfer::{
-    ChunkPlan, Engine, NullController, RunControl, RunOutcome, TransferEnv, TransferPlan,
-    TransferReport,
-};
+use eadt_transfer::{NullController, TransferEnv, TransferPlan};
 use serde::{Deserialize, Serialize};
 
 /// Minimum Energy transfer (Algorithm 1).
@@ -38,26 +33,6 @@ impl MinE {
             partition: PartitionConfig::default(),
         }
     }
-
-    /// Builds the static transfer plan (exposed for inspection and tests).
-    pub fn plan(&self, env: &TransferEnv, dataset: &Dataset) -> TransferPlan {
-        let chunks = partition(dataset, env.link.bdp(), &self.partition);
-        let alloc = Planner::new(&env.link).mine_allocation(&chunks, self.max_channel);
-        let chunk_plans: Vec<ChunkPlan> = chunks
-            .iter()
-            .zip(&alloc)
-            .map(|(chunk, &channels)| {
-                let params = Planner::new(&env.link).chunk_params(chunk);
-                let mut plan =
-                    ChunkPlan::from_chunk(chunk, params.pipelining, params.parallelism, channels);
-                // The energy guard: Large chunks keep one channel for the
-                // whole transfer, even when other chunks free theirs.
-                plan.accepts_reallocation = chunk.class != SizeClass::Large;
-                plan
-            })
-            .collect();
-        TransferPlan::concurrent(chunk_plans, Placement::PackFirst)
-    }
 }
 
 impl Algorithm for MinE {
@@ -65,27 +40,19 @@ impl Algorithm for MinE {
         "MinE"
     }
 
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
-    }
-
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
-        let plan = self.plan(env, dataset);
-        // A resumed run replays the deterministic planning but not its
-        // telemetry: the decision event is already in the journal prefix.
-        if ctl.resume.is_none() {
-            tel.record_with(SimTime::ZERO, || {
-                let targets: Vec<u32> = plan.stages[0].chunks.iter().map(|c| c.channels).collect();
-                Event::Decision {
-                    reason: "closed-form plan: Large chunks pinned to one channel".to_string(),
-                    targets,
-                }
-            });
+    fn plan(&self, env: &TransferEnv, dataset: &Dataset) -> PlannedRun {
+        let planner = Planner::new(&env.link);
+        let chunks = partition(dataset, env.link.bdp(), &self.partition);
+        let alloc = planner.mine_allocation(&chunks, self.max_channel);
+        let mut chunk_plans = planner.chunk_plans(&chunks, &alloc);
+        // The energy guard: Large chunks keep one channel for the whole
+        // transfer, even when other chunks free theirs.
+        for (plan, chunk) in chunk_plans.iter_mut().zip(&chunks) {
+            plan.accepts_reallocation = chunk.class != SizeClass::Large;
         }
-        Engine::new(env).run_controlled_in(&plan, &mut NullController, tel, ctl, arena)
+        let plan = TransferPlan::concurrent(chunk_plans, Placement::PackFirst);
+        PlannedRun::new(plan, NullController, false)
+            .with_decision("closed-form plan: Large chunks pinned to one channel")
     }
 }
 
@@ -93,12 +60,13 @@ impl Algorithm for MinE {
 mod tests {
     use super::*;
     use crate::test_support::{mixed_dataset, wan_env};
+    use crate::RunCtx;
 
     #[test]
     fn plan_pins_large_chunk_to_one_channel() {
         let env = wan_env();
         let dataset = mixed_dataset();
-        let plan = MinE::new(12).plan(&env, &dataset);
+        let plan = MinE::new(12).plan(&env, &dataset).plan;
         assert_eq!(plan.stages.len(), 1, "MinE is multi-chunk (concurrent)");
         let chunks = &plan.stages[0].chunks;
         assert!(chunks.len() >= 2);

@@ -9,6 +9,7 @@
 use eadt_dataset::Chunk;
 use eadt_net::link::Link;
 use eadt_sim::Bytes;
+use eadt_transfer::ChunkPlan;
 use serde::{Deserialize, Serialize};
 
 /// Upper bound on the pipelining depth (control-channel command queue).
@@ -62,6 +63,20 @@ impl<'a> Planner<'a> {
     /// available buffer.
     pub fn chunk_params(&self, chunk: &Chunk) -> ChunkParams {
         chunk_params_policy(self.link, chunk)
+    }
+
+    /// One [`ChunkPlan`] per chunk, with [`Planner::chunk_params`] and
+    /// `channels[i]` channels for chunk `i` — the plan rows every tuned
+    /// algorithm starts from.
+    pub fn chunk_plans(&self, chunks: &[Chunk], channels: &[u32]) -> Vec<ChunkPlan> {
+        chunks
+            .iter()
+            .zip(channels)
+            .map(|(chunk, &channels)| {
+                let params = self.chunk_params(chunk);
+                ChunkPlan::from_chunk(chunk, params.pipelining, params.parallelism, channels)
+            })
+            .collect()
     }
 
     /// Algorithm 1 lines 10–11: MinE's channel allocation (Large chunks

@@ -15,10 +15,11 @@
 //!   RNG splitter plus an index-bijective splitmix step, so job N's world
 //!   is the same whether it runs first on one thread or last on eight,
 //!   and no two jobs of a batch ever share a seed.
-//! * **One order-preserving worker pool** — [`Session::run`] and each
-//!   [`ServiceSession`] round hand their jobs to the same pool, whose
-//!   workers pull the next unclaimed job; scheduling order affects only
-//!   wall time, never results, because no job reads another job's state.
+//! * **One order-preserving worker pool** — [`Session::run`] and every
+//!   [`ServiceSession`] round hand their jobs to the same kind of pool,
+//!   created once per run, whose workers pull the next unclaimed job;
+//!   scheduling order affects only wall time, never results, because no
+//!   job reads another job's state.
 //! * **Merge-ordered aggregation** ([`FleetReport`]) — the pool returns
 //!   result `i` for job `i`, so results are emitted in job order. The
 //!   report contains no worker count, timestamps or wall-clock

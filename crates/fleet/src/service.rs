@@ -24,8 +24,12 @@
 //!    residents ([`arbitrate`]), converting grants into per-run
 //!    [`ResourceShare`] factors;
 //! 5. advances every resident by one quantum **in parallel** on the
-//!    fleet worker pool (each leg is a pure function of its checkpoint
-//!    and share, so worker count cannot leak into results);
+//!    fleet worker pool, whose threads live for the whole run. A job's
+//!    [`Resident`] — its prepared dataset, planned run and engine arena —
+//!    is built at its first advance and travels with it, across
+//!    preemptions, until it finishes; each leg resumes from the job's
+//!    checkpoint under its share, so a leg is a pure function of
+//!    (job, checkpoint, share) and worker count cannot leak into results;
 //! 6. books finished transfers (`job_finished`) and carries halted
 //!    engine state to the next round.
 //!
@@ -33,8 +37,8 @@
 //! journal, whatever the worker count — the contract CI's
 //! `service-determinism` job enforces.
 
-use crate::dispatch::JobRunner;
-use crate::pool::{default_workers, map_ordered};
+use crate::dispatch::Resident;
+use crate::pool::{default_workers, with_pool};
 use crate::rollup::FleetMetrics;
 use crate::seed::derive_job_seed;
 use crate::session::{load_outcome, persist_outcome, JobOutcome};
@@ -45,8 +49,8 @@ use eadt_ckpt::{
 };
 use eadt_endsys::pool::{arbitrate, ArbitrationPolicy, PoolCapacity, PoolMember};
 use eadt_sim::{EadtError, Rate, SimRng, SimTime};
-use eadt_telemetry::{EnergyLedger, Event, Journal};
-use eadt_transfer::{EngineCheckpoint, ResourceShare, RunControl, RunOutcome, SliceArena};
+use eadt_telemetry::{EnergyLedger, Event, Journal, Telemetry};
+use eadt_transfer::{EngineCheckpoint, ResourceShare, RunOutcome};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -436,13 +440,7 @@ impl ServiceSession {
             })
             .collect();
 
-        let mut state = SchedulerState::fresh(jobs.len());
-        // Per-job engine scratch arenas, reused across quanta: a resident
-        // advancing every round re-enters the engine with its warm arena
-        // instead of rebuilding scratch from cold. Deliberately *not* part
-        // of the serialized scheduler state — arenas carry capacity, not
-        // semantics, and a resumed service starts them cold again.
-        let mut arenas: Vec<SliceArena> = jobs.iter().map(|_| SliceArena::default()).collect();
+        let mut state = SchedulerState::fresh(workload);
         let mut journal = Journal::new();
         let store = match &self.checkpoint {
             Some((dir, _)) => Some(CheckpointStore::create(dir).map_err(ckpt_err)?),
@@ -456,242 +454,269 @@ impl ServiceSession {
                 }
             }
         }
+        // Live residents, index-aligned with `jobs`: built lazily at a
+        // job's first advance (also after a resume from disk) and dropped
+        // when it finishes. Not part of the serialized scheduler state —
+        // the engine checkpoints are.
+        let mut residents: Vec<Option<Box<Resident<'_>>>> = jobs.iter().map(|_| None).collect();
+        // Per-round grants, reused across rounds: every entry set during
+        // arbitration is taken back when the round's tasks are built.
+        let mut shares: Vec<Option<ResourceShare>> = vec![None; jobs.len()];
+        let mut members: Vec<PoolMember> = Vec::new();
+        // No round has more residents than the sites have core slots.
+        let slots: usize = workload
+            .sites()
+            .iter()
+            .map(|(_, cap)| cap.core_slots as usize)
+            .sum();
+        let quantum = self.quantum;
+        let advance = |job, task| advance_job(jobs, &seeds, job, task, quantum);
 
-        let mut round = state.round;
-        loop {
-            // 1. Arrivals.
-            for i in 0..jobs.len() {
-                if state.phase[i] == Phase::Pending && arrivals[i] <= round {
-                    state.phase[i] = Phase::Queued;
-                    state.queue.push(i);
-                    journal.record(
-                        round_start(slice, self.quantum, round),
-                        Event::JobSubmitted {
-                            job: i as u32,
-                            tenant: jobs[i].tenant,
-                            site: jobs[i].site.clone(),
-                            priority: jobs[i].priority,
-                        },
-                    );
-                }
-            }
-
-            // Nothing live: finished, or fast-forward to the next arrival.
-            if state.queue.is_empty() && state.resident.is_empty() {
-                let next = (0..jobs.len())
-                    .filter(|&i| state.phase[i] == Phase::Pending)
-                    .map(|i| arrivals[i])
-                    .min();
-                match next {
-                    None => break,
-                    Some(next_round) => {
-                        round = next_round.max(round + 1);
-                        continue;
-                    }
-                }
-            }
-
-            // 2. Priority preemption: under strict priority, a full site
-            // must yield its lowest-priority resident to a strictly
-            // higher-priority waiter. The victim keeps its checkpoint and
-            // goes back to the queue — preemption is "not rescheduling".
-            if self.policy == ArbitrationPolicy::StrictPriority {
-                for (site, cap) in workload.sites() {
-                    let Some(&challenger) = state
-                        .queue
-                        .iter()
-                        .filter(|&&q| jobs[q].site == *site)
-                        .max_by_key(|&&q| jobs[q].priority)
-                    else {
-                        continue;
-                    };
-                    let residents_full =
-                        state.site_residents(jobs, site).len() as u32 >= cap.core_slots;
-                    if !residents_full {
-                        continue;
-                    }
-                    let Some(&victim) = state
-                        .site_residents(jobs, site)
-                        .iter()
-                        .min_by_key(|&&r| jobs[r].priority)
-                    else {
-                        continue;
-                    };
-                    if jobs[victim].priority < jobs[challenger].priority {
-                        state.evict(victim);
-                        state.preemptions[victim] += 1;
+        let round = with_pool(self.workers.min(slots), advance, |pool| {
+            let mut round = state.round;
+            loop {
+                // 1. Arrivals.
+                for i in 0..jobs.len() {
+                    if state.phase[i] == Phase::Pending && arrivals[i] <= round {
+                        state.phase[i] = Phase::Queued;
+                        state.queue.push(i);
                         journal.record(
-                            round_start(slice, self.quantum, round),
-                            Event::JobPreempted {
-                                job: victim as u32,
-                                by: Some(challenger as u32),
-                                site: site.clone(),
+                            round_start(slice, quantum, round),
+                            Event::JobSubmitted {
+                                job: i as u32,
+                                tenant: jobs[i].tenant,
+                                site: jobs[i].site.clone(),
+                                priority: jobs[i].priority,
                             },
                         );
                     }
                 }
-            }
 
-            // 3. Admission: fill free slots in policy order.
-            loop {
-                let candidate = match self.policy {
-                    ArbitrationPolicy::FairShare => state
-                        .queue
-                        .iter()
-                        .position(|&q| state.site_has_slot(workload, jobs, &jobs[q].site)),
-                    ArbitrationPolicy::StrictPriority => state
-                        .queue
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &q)| state.site_has_slot(workload, jobs, &jobs[q].site))
-                        .max_by_key(|&(pos, &q)| (jobs[q].priority, usize::MAX - pos))
-                        .map(|(pos, _)| pos),
-                };
-                let Some(pos) = candidate else { break };
-                let job = state.queue.remove(pos);
-                state.phase[job] = Phase::Resident;
-                state.resident.push(job);
-                let returning = state.engine[job].is_some();
-                let now = round_start(slice, self.quantum, round);
-                if state.admitted_round[job].is_none() {
-                    state.admitted_round[job] = Some(round);
-                }
-                if returning {
-                    journal.record(
-                        now,
-                        Event::JobResumed {
-                            job: job as u32,
-                            site: jobs[job].site.clone(),
-                            round,
-                        },
-                    );
-                } else {
-                    journal.record(
-                        now,
-                        Event::JobAdmitted {
-                            job: job as u32,
-                            site: jobs[job].site.clone(),
-                            resident: state.site_residents(jobs, &jobs[job].site).len() as u32,
-                            waiting: state.queue.len() as u32,
-                        },
-                    );
-                }
-            }
-
-            // 4. Arbitration: pooled bandwidth/disk split per site.
-            let mut shares: Vec<Option<ResourceShare>> = vec![None; jobs.len()];
-            for (site, cap) in workload.sites() {
-                let residents = state.site_residents(jobs, site);
-                if residents.is_empty() {
-                    continue;
-                }
-                let members: Vec<PoolMember> = residents
-                    .iter()
-                    .map(|&r| {
-                        let (bw, disk) = demands(&jobs[r].spec);
-                        PoolMember {
-                            id: r as u32,
-                            weight: jobs[r].weight,
-                            priority: jobs[r].priority,
-                            bandwidth_demand: bw,
-                            disk_demand: disk,
+                // Nothing live: finished, or fast-forward to the next arrival.
+                if state.queue.is_empty() && state.resident.is_empty() {
+                    let next = (0..jobs.len())
+                        .filter(|&i| state.phase[i] == Phase::Pending)
+                        .map(|i| arrivals[i])
+                        .min();
+                    match next {
+                        None => break,
+                        Some(next_round) => {
+                            round = next_round.max(round + 1);
+                            continue;
                         }
+                    }
+                }
+
+                // 2. Priority preemption: under strict priority, a full
+                // site must yield its lowest-priority resident to a
+                // strictly higher-priority waiter. The victim keeps its
+                // checkpoint and goes back to the queue — preemption is
+                // "not rescheduling".
+                if self.policy == ArbitrationPolicy::StrictPriority {
+                    for (site, (name, cap)) in workload.sites().iter().enumerate() {
+                        if state.site_load[site] < cap.core_slots {
+                            continue;
+                        }
+                        let Some(&challenger) = state
+                            .queue
+                            .iter()
+                            .filter(|&&q| state.site_of[q] == site)
+                            .max_by_key(|&&q| jobs[q].priority)
+                        else {
+                            continue;
+                        };
+                        let Some(&victim) = state
+                            .resident
+                            .iter()
+                            .filter(|&&r| state.site_of[r] == site)
+                            .min_by_key(|&&r| jobs[r].priority)
+                        else {
+                            continue;
+                        };
+                        if jobs[victim].priority < jobs[challenger].priority {
+                            state.evict(victim);
+                            state.preemptions[victim] += 1;
+                            journal.record(
+                                round_start(slice, quantum, round),
+                                Event::JobPreempted {
+                                    job: victim as u32,
+                                    by: Some(challenger as u32),
+                                    site: name.clone(),
+                                },
+                            );
+                        }
+                    }
+                }
+
+                // 3. Admission: fill free slots in policy order.
+                loop {
+                    let has_slot = |q: usize| {
+                        let site = state.site_of[q];
+                        state.site_load[site] < workload.sites()[site].1.core_slots
+                    };
+                    let candidate = match self.policy {
+                        ArbitrationPolicy::FairShare => {
+                            state.queue.iter().position(|&q| has_slot(q))
+                        }
+                        ArbitrationPolicy::StrictPriority => state
+                            .queue
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, &q)| has_slot(q))
+                            .max_by_key(|&(pos, &q)| (jobs[q].priority, usize::MAX - pos))
+                            .map(|(pos, _)| pos),
+                    };
+                    let Some(pos) = candidate else { break };
+                    let job = state.queue.remove(pos);
+                    state.admit(job);
+                    let returning = state.engine[job].is_some();
+                    let now = round_start(slice, quantum, round);
+                    if state.admitted_round[job].is_none() {
+                        state.admitted_round[job] = Some(round);
+                    }
+                    if returning {
+                        journal.record(
+                            now,
+                            Event::JobResumed {
+                                job: job as u32,
+                                site: jobs[job].site.clone(),
+                                round,
+                            },
+                        );
+                    } else {
+                        journal.record(
+                            now,
+                            Event::JobAdmitted {
+                                job: job as u32,
+                                site: jobs[job].site.clone(),
+                                resident: state.site_load[state.site_of[job]],
+                                waiting: state.queue.len() as u32,
+                            },
+                        );
+                    }
+                }
+
+                // 4. Arbitration: pooled bandwidth/disk split per site.
+                for (site, (name, cap)) in workload.sites().iter().enumerate() {
+                    members.clear();
+                    members.extend(
+                        state
+                            .resident
+                            .iter()
+                            .filter(|&&r| state.site_of[r] == site)
+                            .map(|&r| {
+                                let (bw, disk) = demands(&jobs[r].spec);
+                                PoolMember {
+                                    id: r as u32,
+                                    weight: jobs[r].weight,
+                                    priority: jobs[r].priority,
+                                    bandwidth_demand: bw,
+                                    disk_demand: disk,
+                                }
+                            }),
+                    );
+                    if members.is_empty() {
+                        continue;
+                    }
+                    let grants = arbitrate(cap, &members, self.policy);
+                    for (member, grant) in members.iter().zip(&grants) {
+                        shares[member.id as usize] = Some(ResourceShare {
+                            bandwidth: grant.bandwidth_fraction(member.bandwidth_demand),
+                            src_disk: grant.disk_fraction(member.disk_demand),
+                            dst_disk: 1.0,
+                        });
+                    }
+                    // Zero-grant guard: a resident granted no bandwidth at
+                    // all would burn its transfer clock idling; requeue it
+                    // instead (only safe while someone else at the site
+                    // makes progress, which positive pool capacity
+                    // guarantees).
+                    for (member, grant) in members.iter().zip(&grants) {
+                        if grant.bandwidth.as_bps() == 0.0 && grants.len() > 1 {
+                            let job = member.id as usize;
+                            state.evict(job);
+                            state.preemptions[job] += 1;
+                            shares[job] = None;
+                            journal.record(
+                                round_start(slice, quantum, round),
+                                Event::JobPreempted {
+                                    job: job as u32,
+                                    by: None,
+                                    site: name.clone(),
+                                },
+                            );
+                        }
+                    }
+                }
+
+                // 5. Parallel advance: one quantum per resident, fixed
+                // shares. Keyed by job, so a resident keeps to one pool
+                // thread from round to round while the load allows.
+                let tasks: Vec<(usize, AdvanceTask)> = state
+                    .resident
+                    .iter()
+                    .map(|&job| {
+                        let task = AdvanceTask {
+                            engine: state.engine[job].take(),
+                            share: shares[job].take().unwrap_or_default(),
+                            resident: residents[job].take(),
+                        };
+                        (job, task)
                     })
                     .collect();
-                let grants = arbitrate(cap, &members, self.policy);
-                for (member, grant) in members.iter().zip(&grants) {
-                    shares[member.id as usize] = Some(ResourceShare {
-                        bandwidth: grant.bandwidth_fraction(member.bandwidth_demand),
-                        src_disk: grant.disk_fraction(member.disk_demand),
-                        dst_disk: 1.0,
-                    });
-                }
-                // Zero-grant guard: a resident granted no bandwidth at all
-                // would burn its transfer clock idling; requeue it instead
-                // (only safe while someone else at the site makes
-                // progress, which positive pool capacity guarantees).
-                for (member, grant) in members.iter().zip(&grants) {
-                    if grant.bandwidth.as_bps() == 0.0 && grants.len() > 1 {
-                        let job = member.id as usize;
-                        state.evict(job);
-                        state.preemptions[job] += 1;
-                        shares[job] = None;
-                        journal.record(
-                            round_start(slice, self.quantum, round),
-                            Event::JobPreempted {
-                                job: job as u32,
-                                by: None,
-                                site: site.clone(),
-                            },
-                        );
-                    }
-                }
-            }
+                let results = pool.map(tasks);
 
-            // 5. Parallel advance: one quantum per resident, fixed shares.
-            let tasks: Vec<AdvanceTask> = state
-                .resident
-                .iter()
-                .map(|&job| AdvanceTask {
-                    job,
-                    engine: state.engine[job].take(),
-                    share: shares[job].unwrap_or_default(),
-                    arena: std::mem::take(&mut arenas[job]),
-                })
-                .collect();
-            let quantum = self.quantum;
-            let results = map_ordered(self.workers, tasks, |_, task| {
-                let job = task.job;
-                let (outcome, arena) = advance_job(&jobs[job], seeds[job], job, task, quantum);
-                (job, outcome, arena)
-            });
-
-            // 6. Collect in resident order (journal and persistence order
-            // must not depend on completion order).
-            let end = round_start(slice, self.quantum, round + 1);
-            let mut still_resident = Vec::with_capacity(state.resident.len());
-            for (job, outcome, arena) in results {
-                arenas[job] = arena;
-                match outcome {
-                    Advanced::Halted(engine) => {
-                        state.engine[job] = Some(engine);
-                        still_resident.push(job);
-                    }
-                    Advanced::Finished(outcome) => {
-                        journal.record(
-                            end,
-                            Event::JobFinished {
-                                job: job as u32,
-                                completed: outcome.completed,
-                                moved_bytes: outcome.moved_bytes,
-                            },
-                        );
-                        state.phase[job] = Phase::Done;
-                        state.finished_round[job] = Some(round);
-                        if let Some(store) = &store {
-                            persist_outcome(store, &outcome).map_err(ckpt_err)?;
+                // 6. Collect in resident order (journal and persistence
+                // order must not depend on completion order).
+                let end = round_start(slice, quantum, round + 1);
+                let mut still_resident = Vec::with_capacity(state.resident.len());
+                for (job, outcome) in state.resident.iter().copied().zip(results) {
+                    match outcome {
+                        Advanced::Halted(engine, resident) => {
+                            state.engine[job] = Some(engine);
+                            residents[job] = Some(resident);
+                            still_resident.push(job);
                         }
-                        state.outcome[job] = Some(outcome);
+                        Advanced::Finished(outcome) => {
+                            journal.record(
+                                end,
+                                Event::JobFinished {
+                                    job: job as u32,
+                                    completed: outcome.completed,
+                                    moved_bytes: outcome.moved_bytes,
+                                },
+                            );
+                            state.phase[job] = Phase::Done;
+                            state.site_load[state.site_of[job]] -= 1;
+                            state.finished_round[job] = Some(round);
+                            if let Some(store) = &store {
+                                persist_outcome(store, &outcome).map_err(ckpt_err)?;
+                            }
+                            state.outcome[job] = Some(outcome);
+                        }
+                    }
+                }
+                // The tasks were built from `state.resident` and come back
+                // in that order, so the halted ones are the new resident
+                // list.
+                state.resident = still_resident;
+
+                round += 1;
+                state.round = round;
+
+                // Cadence checkpoint: a consistent snapshot of the
+                // scheduler, every live engine checkpoint, and the journal
+                // prefix. The service checkpoint is written last — it is
+                // the commit point.
+                if let (Some(store), Some((_, every))) = (&store, &self.checkpoint) {
+                    if round.is_multiple_of(*every) {
+                        self.persist(workload, &seeds, store, &state, &journal, fingerprint)
+                            .map_err(ckpt_err)?;
                     }
                 }
             }
-            // The tasks were built from `state.resident` and come back in
-            // that order, so the halted ones are the new resident list.
-            state.resident = still_resident;
-
-            round += 1;
-            state.round = round;
-
-            // Cadence checkpoint: a consistent snapshot of the scheduler,
-            // every live engine checkpoint, and the journal prefix. The
-            // service checkpoint is written last — it is the commit point.
-            if let (Some(store), Some((_, every))) = (&store, &self.checkpoint) {
-                if round.is_multiple_of(*every) {
-                    self.persist(workload, &seeds, store, &state, &journal, fingerprint)
-                        .map_err(ckpt_err)?;
-                }
-            }
-        }
+            Ok::<u64, EadtError>(round)
+        })?;
 
         let report = self.assemble(workload, &seeds, &arrivals, state, round)?;
         Ok(ServiceRun { report, journal })
@@ -755,7 +780,7 @@ impl ServiceSession {
         ck: ServiceCheckpoint,
     ) -> Result<(SchedulerState, Journal), EadtError> {
         let jobs = workload.jobs();
-        let mut state = SchedulerState::fresh(jobs.len());
+        let mut state = SchedulerState::fresh(workload);
         state.round = ck.round;
         // Every job sits in at most one of the three lists: a job listed
         // twice would be admitted twice and advanced by two tasks a round.
@@ -814,6 +839,9 @@ impl ServiceSession {
         }
         state.queue = ck.queue.iter().map(|&j| j as usize).collect();
         state.resident = ck.resident.iter().map(|&j| j as usize).collect();
+        for &r in &state.resident {
+            state.site_load[state.site_of[r]] += 1;
+        }
 
         // Journal prefix: the persisted file, cut at the checkpoint's
         // cursor (a crash can leave the journal a fraction of a round
@@ -939,56 +967,49 @@ fn demands(spec: &JobSpec) -> (Rate, Rate) {
 }
 
 /// One resident's work order for a round.
-struct AdvanceTask {
-    job: usize,
+struct AdvanceTask<'a> {
     engine: Option<Box<EngineCheckpoint>>,
     share: ResourceShare,
-    /// The job's engine scratch arena, moved through the task (and back
-    /// with the result) so each quantum reuses the previous one's warm
-    /// buffers.
-    arena: SliceArena,
+    /// The job's live resident, moved through the task (and back with the
+    /// result); `None` before its first advance.
+    resident: Option<Box<Resident<'a>>>,
 }
 
 /// What one quantum produced for a resident.
-enum Advanced {
-    /// Still going: the checkpoint to carry into the next round.
-    Halted(Box<EngineCheckpoint>),
+enum Advanced<'a> {
+    /// Still going: the checkpoint to carry into the next round, and the
+    /// resident to keep until then.
+    Halted(Box<EngineCheckpoint>, Box<Resident<'a>>),
     /// Ran to completion (or died — failures are booked as outcomes so
     /// one bad job cannot take the service down).
     Finished(Box<JobOutcome>),
 }
 
-/// Advances one job by one quantum under its granted share.
-fn advance_job(
-    job: &ServiceJob,
-    seed: u64,
+/// Advances one job by one quantum under its granted share, building its
+/// resident first if this is its first advance since admission or resume.
+fn advance_job<'a>(
+    jobs: &'a [ServiceJob],
+    seeds: &[u64],
     index: usize,
-    task: AdvanceTask,
+    task: AdvanceTask<'a>,
     quantum: u64,
-) -> (Advanced, SliceArena) {
+) -> Advanced<'a> {
     let AdvanceTask {
         engine,
         share,
-        mut arena,
-        ..
+        resident,
     } = task;
+    let (job, seed) = (&jobs[index], seeds[index]);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let runner = JobRunner::prepare(&job.spec, seed);
-        let ctl = match engine {
-            Some(engine) => {
-                let halt = engine.slices_done + quantum;
-                RunControl::resume_from(*engine).with_halt(halt)
-            }
-            None => RunControl::halt_at(quantum),
-        }
-        .with_share(share);
-        runner.run_controlled_in(ctl, &mut arena)
+        let mut resident = resident.unwrap_or_else(|| Box::new(Resident::new(&job.spec, seed)));
+        let outcome = resident.leg(engine, quantum, share, &mut Telemetry::disabled());
+        (outcome, resident)
     }));
-    let outcome = match result {
-        Ok(RunOutcome::Done(report)) => Advanced::Finished(Box::new(JobOutcome::from_report(
+    match result {
+        Ok((RunOutcome::Done(report), _)) => Advanced::Finished(Box::new(JobOutcome::from_report(
             index, &job.spec, seed, report, None,
         ))),
-        Ok(RunOutcome::Halted(engine)) => Advanced::Halted(engine),
+        Ok((RunOutcome::Halted(engine), resident)) => Advanced::Halted(engine, resident),
         Err(payload) => Advanced::Finished(Box::new(JobOutcome::panicked(
             index,
             &job.spec,
@@ -996,8 +1017,7 @@ fn advance_job(
             "service job",
             payload,
         ))),
-    };
-    (outcome, arena)
+    }
 }
 
 fn ckpt_err(e: eadt_ckpt::CkptError) -> EadtError {
@@ -1025,10 +1045,17 @@ struct SchedulerState {
     admitted_round: Vec<Option<u64>>,
     finished_round: Vec<Option<u64>>,
     preemptions: Vec<u32>,
+    /// Each job's site, as an index into [`Workload::sites`] (interned
+    /// once per run; [`Workload::check`] guarantees every site exists).
+    site_of: Vec<usize>,
+    /// Residents per site, kept in step with `resident`.
+    site_load: Vec<u32>,
 }
 
 impl SchedulerState {
-    fn fresh(n: usize) -> Self {
+    fn fresh(workload: &Workload) -> Self {
+        let n = workload.jobs().len();
+        let sites = workload.sites();
         SchedulerState {
             round: 0,
             phase: vec![Phase::Pending; n],
@@ -1039,28 +1066,31 @@ impl SchedulerState {
             admitted_round: vec![None; n],
             finished_round: vec![None; n],
             preemptions: vec![0; n],
+            site_of: workload
+                .jobs()
+                .iter()
+                .map(|job| {
+                    sites
+                        .iter()
+                        .position(|(name, _)| *name == job.site)
+                        .unwrap_or(0)
+                })
+                .collect(),
+            site_load: vec![0; sites.len()],
         }
     }
 
-    /// Residents of `site`, admission order.
-    fn site_residents(&self, jobs: &[ServiceJob], site: &str) -> Vec<usize> {
-        self.resident
-            .iter()
-            .copied()
-            .filter(|&r| jobs[r].site == site)
-            .collect()
-    }
-
-    fn site_has_slot(&self, workload: &Workload, jobs: &[ServiceJob], site: &str) -> bool {
-        let Some((_, cap)) = workload.sites().iter().find(|(name, _)| name == site) else {
-            return false;
-        };
-        (self.site_residents(jobs, site).len() as u32) < cap.core_slots
+    /// Makes a job resident (the caller has taken it off the queue).
+    fn admit(&mut self, job: usize) {
+        self.phase[job] = Phase::Resident;
+        self.resident.push(job);
+        self.site_load[self.site_of[job]] += 1;
     }
 
     /// Moves a resident back to the queue (keeps its engine state).
     fn evict(&mut self, job: usize) {
         self.resident.retain(|&r| r != job);
+        self.site_load[self.site_of[job]] -= 1;
         self.phase[job] = Phase::Queued;
         self.queue.push(job);
     }
@@ -1144,7 +1174,9 @@ impl ServiceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::JobRunner;
     use eadt_core::AlgorithmKind;
+    use eadt_transfer::RunControl;
 
     fn pool(slots: u32) -> PoolCapacity {
         let tb = eadt_testbeds::didclab();

@@ -1,15 +1,15 @@
 //! The batch session: jobs on the fleet worker pool, merge-ordered
 //! results, optional crash-safe checkpointing.
 
-use crate::dispatch::{run_job, JobRunner};
-use crate::pool::{default_workers, map_ordered};
+use crate::dispatch::{run_job, JobRunner, Resident};
+use crate::pool::{default_workers, with_pool};
 use crate::rollup::FleetMetrics;
 use crate::seed::derive_job_seed;
 use crate::spec::JobSpec;
 use eadt_ckpt::{CheckpointStore, CkptError, JobCheckpoint, JOB_CHECKPOINT_SCHEMA_VERSION};
 use eadt_sim::{EadtError, SimDuration};
 use eadt_telemetry::{EnergyLedger, MetricsRegistry, MetricsSnapshot, Telemetry};
-use eadt_transfer::{RunControl, RunOutcome, TransferReport};
+use eadt_transfer::{ResourceShare, RunControl, RunOutcome, TransferReport};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -199,9 +199,11 @@ impl Session {
         run: &(dyn Fn(usize, &JobSpec, u64) -> JobRun + Sync),
     ) -> FleetReport {
         let checkpoint = self.checkpoint.as_ref();
-        let jobs = map_ordered(self.workers, jobs.iter().collect(), |index, job| {
-            execute_job(checkpoint, resume, self.root_seed, index, job, run)
-        });
+        let jobs = with_pool(
+            self.workers.min(jobs.len()),
+            |index, job| execute_job(checkpoint, resume, self.root_seed, index, job, run),
+            |pool| pool.map(jobs.iter().enumerate().collect()),
+        );
         let metrics = FleetMetrics::rollup(&jobs);
         FleetReport {
             schema: FLEET_SCHEMA_VERSION,
@@ -256,45 +258,38 @@ fn run_job_checkpointed(
     let store = cfg.open();
     let every = cfg.every.max(1);
     let label = job.display_label();
-    let runner = JobRunner::prepare(job, seed);
-    // A fresh registry per leg is fine: a resume restores the registry's
+    let mut resident = Resident::new(job, seed);
+    // One registry across legs is fine: a resume restores the registry's
     // contents from the checkpoint before the engine moves, so the final
     // snapshot is interrupt-invariant.
     let mut tel = Telemetry::from_parts(None, metrics.map(MetricsRegistry::new));
-    let mut ctl = match store
+    let mut engine = store
         .load_job_checkpoint(index)
         .unwrap_or_else(|e| panic!("{e}"))
-    {
-        Some(ck) => {
+        .map(|ck| {
             ck.validate(index, &label, seed)
                 .unwrap_or_else(|e| panic!("{e}"));
-            // `halt_after` is an absolute slice count, so the next
-            // boundary is measured from the checkpoint, not from zero.
-            let halt = ck.engine.slices_done + every;
-            RunControl::resume_from(ck.engine).with_halt(halt)
-        }
-        None => RunControl::halt_at(every),
-    };
+            Box::new(ck.engine)
+        });
     loop {
-        match runner.run_instrumented(ctl, &mut tel) {
+        match resident.leg(engine, every, ResourceShare::FULL, &mut tel) {
             RunOutcome::Done(report) => {
                 let snap = tel.metrics_ref().map(MetricsRegistry::snapshot);
                 return (report, snap);
             }
-            RunOutcome::Halted(engine) => {
-                let halt = engine.slices_done + every;
+            RunOutcome::Halted(halted) => {
                 let ck = JobCheckpoint {
                     schema: JOB_CHECKPOINT_SCHEMA_VERSION,
                     job: index,
                     label: label.clone(),
                     algorithm: job.kind.name().to_string(),
                     seed,
-                    engine: *engine,
+                    engine: *halted,
                 };
                 store
                     .save_job_checkpoint(&ck)
                     .unwrap_or_else(|e| panic!("{e}"));
-                ctl = RunControl::resume_from(ck.engine).with_halt(halt);
+                engine = Some(Box::new(ck.engine));
             }
         }
     }
@@ -679,6 +674,47 @@ mod tests {
                 "job {i} checkpoint not retired"
             );
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cadence_legs_match_a_straight_run_for_every_algorithm() {
+        // A short cadence puts every job through many resident legs; the
+        // fault plan and the fault-aware wrapper put controller state in
+        // every checkpoint.
+        let faults = eadt_transfer::FaultPlan::channel_only(eadt_transfer::FaultModel::new(
+            eadt_sim::SimDuration::from_secs(15),
+            5,
+        ));
+        let jobs: Vec<JobSpec> = AlgorithmKind::ALL
+            .into_iter()
+            .flat_map(|kind| {
+                let spec = JobSpec::new(kind, eadt_testbeds::xsede())
+                    .with_scale(0.01)
+                    .with_max_channel(4);
+                [
+                    spec.clone(),
+                    spec.with_faults(faults.clone()).with_fault_aware(true),
+                ]
+            })
+            .collect();
+        let cadence = eadt_sim::SimDuration::from_secs(1);
+        let plain = Session::builder()
+            .root_seed(3)
+            .workers(1)
+            .metrics(cadence)
+            .build()
+            .run(&jobs);
+        let dir = ckpt_dir("every-kind");
+        let legged = Session::builder()
+            .root_seed(3)
+            .workers(2)
+            .metrics(cadence)
+            .checkpoints(&dir, 9)
+            .build()
+            .run(&jobs);
+        assert_eq!(plain.error_count(), 0);
+        assert_eq!(plain.to_json(), legged.to_json());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -72,7 +72,7 @@ pub fn check(path: &str, toks: &[Spanned]) -> Vec<Violation> {
         // Ad-hoc threading: `thread::spawn` / `thread::scope`. Worker
         // pools threaten merge-order determinism unless results are
         // reassembled by job index; that discipline lives in the fleet's
-        // one worker pool (`eadt_fleet`'s `map_ordered`), whose spawn site
+        // one worker pool (`eadt_fleet`'s `with_pool`), whose spawn site
         // is allowlisted.
         if name == "thread" && (path_call(toks, i, "spawn") || path_call(toks, i, "scope")) {
             out.push(Violation {
