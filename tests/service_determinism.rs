@@ -170,3 +170,75 @@ fn fair_and_priority_schedules_differ_but_each_is_deterministic() {
         assert_eq!(first.journal.to_jsonl(), again.journal.to_jsonl());
     }
 }
+
+/// Two long low-priority jobs take both slots at round 0; at round 1
+/// three equal-priority high jobs (2, 3, 4) and one more low job (5)
+/// arrive. The pool has bandwidth for every resident, so each eviction
+/// below is a priority preemption, never a zero-grant requeue.
+fn tie_break_workload() -> Workload {
+    let tb = eadt::testbeds::didclab();
+    let cap = PoolCapacity::from_servers(tb.env.link.bandwidth * 8.0, &tb.env.src.servers, 2);
+    [1, 1, 5, 5, 5, 1].into_iter().enumerate().fold(
+        Workload::new().site("didclab", cap).arrival_gap_s(2.0),
+        |w, (i, priority)| {
+            let scale = if priority == 1 { 0.05 } else { 0.01 };
+            w.job(
+                ServiceJob::new(spec(AlgorithmKind::Sc, scale), "didclab")
+                    .with_tenant(i as u32)
+                    .with_priority(priority),
+            )
+        },
+    )
+}
+
+/// The journal as `round:<event><job>` tokens (`P<victim><<by>` for a
+/// preemption), rounds counted at quantum 100 of 100 ms slices.
+fn schedule(run: &ServiceRun) -> Vec<String> {
+    use eadt::telemetry::Event;
+    const ROUND_US: u64 = 10_000_000;
+    run.journal
+        .records()
+        .iter()
+        .map(|r| {
+            let round = r.t_us / ROUND_US;
+            match &r.event {
+                Event::JobSubmitted { job, .. } => format!("{round}:S{job}"),
+                Event::JobAdmitted { job, .. } => format!("{round}:A{job}"),
+                Event::JobPreempted { job, by, .. } => {
+                    format!(
+                        "{round}:P{job}<{}",
+                        by.map_or("-".into(), |b| b.to_string())
+                    )
+                }
+                Event::JobResumed { job, .. } => format!("{round}:R{job}"),
+                Event::JobFinished { job, .. } => format!("{round}:F{job}"),
+                other => panic!("unexpected service event {other:?}"),
+            }
+        })
+        .collect()
+}
+
+/// Pins the strict-priority tie-breaks among equal priorities:
+/// - the preemption challenger is the *last* queued of the highest
+///   waiting priority (job 4 displaces both low residents);
+/// - the victim is the *first* resident of the lowest priority (0, then 1);
+/// - admission takes the *earliest* queued of the highest priority (2, then 3);
+/// - an evicted job rejoins at the back of the queue: job 5, queued
+///   before 0 was evicted, is admitted ahead of it, and 0 resumes ahead of 1.
+#[test]
+fn strict_priority_tie_breaks_follow_queue_order() {
+    let workload = tie_break_workload();
+    let baseline = run(&workload, 12, 1, ArbitrationPolicy::StrictPriority);
+    let expected = "0:S0 0:S1 0:A0 0:A1 \
+                    1:S2 1:S3 1:S4 1:S5 1:P0<4 1:A2 \
+                    2:P1<4 2:A3 \
+                    4:F2 4:A4 \
+                    9:F3 9:F4 9:A5 9:R0 \
+                    14:F5 14:F0 14:R1 \
+                    17:F1";
+    assert_eq!(schedule(&baseline).join(" "), expected);
+    assert_eq!(baseline.report.completed_count(), 6);
+    let got = run(&workload, 12, 2, ArbitrationPolicy::StrictPriority);
+    assert_eq!(baseline.journal.to_jsonl(), got.journal.to_jsonl());
+    assert_eq!(baseline.report.to_json(), got.report.to_json());
+}
