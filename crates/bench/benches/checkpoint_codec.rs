@@ -14,7 +14,7 @@
 use criterion::measurement::WallTime;
 use criterion::{criterion_group, criterion_main, Criterion};
 use eadt_bench::checkpoint::{bracket_checkpoints, time_codec, CodecTiming};
-use eadt_bench::kernel::merge_into_bench_json;
+use eadt_bench::kernel::{host, merge_into_bench_json};
 
 /// Timed passes per call; the minimum is recorded.
 const PASSES: usize = 9;
@@ -29,23 +29,6 @@ fn record(t: &CodecTiming) -> serde_json::Value {
         "encode_us": t.encode_s * 1e6,
         "decode_us": t.decode_s * 1e6,
         "decode_ns_per_byte": t.decode_ns_per_byte(),
-    })
-}
-
-/// Core count, CPU model and build profile of the measuring host.
-fn host() -> serde_json::Value {
-    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find_map(|l| l.strip_prefix("model name"))
-                .map(|l| l.trim_start_matches([' ', '\t', ':']).to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    serde_json::json!({
-        "cpus": std::thread::available_parallelism().map_or(1, |n| n.get()),
-        "cpu_model": cpu_model,
-        "profile": if cfg!(debug_assertions) { "debug" } else { "release" },
     })
 }
 

@@ -9,25 +9,13 @@
 
 use criterion::measurement::WallTime;
 use criterion::{criterion_group, criterion_main, Criterion};
+use eadt_bench::fleet::merge_into_bench_json;
+use eadt_bench::kernel::host;
 use eadt_fleet::{figures_matrix, Session};
 
 /// Dataset scale for the benched matrix: large enough to exercise every
 /// algorithm, small enough for a smoke run on one core.
 const SCALE: f64 = 0.01;
-
-fn merge_into_bench_json(key: &str, value: serde_json::Value) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    let mut root: serde_json::Value = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!({ "schema": 1 }));
-    if let Some(map) = root.as_object_mut() {
-        map.insert(key.to_string(), value);
-    }
-    let mut text = serde_json::to_string_pretty(&root).expect("serializable");
-    text.push('\n');
-    std::fs::write(path, text).expect("workspace root is writable");
-}
 
 fn bench(c: &mut Criterion) {
     let jobs = figures_matrix(SCALE);
@@ -61,6 +49,8 @@ fn bench(c: &mut Criterion) {
         "aggregate report must not depend on worker count"
     );
     let mut entry = serde_json::json!({
+        "command": "cargo bench -p eadt-bench --bench fleet",
+        "host": host(),
         "jobs": jobs.len(),
         "scale": SCALE,
         "root_seed": 42,

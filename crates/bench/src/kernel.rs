@@ -191,6 +191,23 @@ pub fn bench_json_path() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json")
 }
 
+/// Core count, CPU model and build profile of the measuring host.
+pub fn host() -> serde_json::Value {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|l| l.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    serde_json::json!({
+        "cpus": std::thread::available_parallelism().map_or(1, |n| n.get()),
+        "cpu_model": cpu_model,
+        "profile": if cfg!(debug_assertions) { "debug" } else { "release" },
+    })
+}
+
 /// Merges one top-level key into `BENCH_engine.json`, preserving every
 /// other key — in particular the committed `kernel_gate` thresholds,
 /// which regeneration must never overwrite.

@@ -13,6 +13,7 @@ pub mod accuracy;
 pub mod checkpoint;
 pub mod device;
 pub mod estimator;
+pub mod fleet;
 pub mod kernel;
 pub mod plot;
 pub mod repeat;

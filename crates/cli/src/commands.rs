@@ -801,7 +801,7 @@ fn run_transfer_checkpointed(
     if kind == AlgorithmKind::Manual {
         job = job.with_manual_params(pipelining, parallelism);
     }
-    let outcome = Session::builder()
+    let (outcome, report) = Session::builder()
         .root_seed(cli.seed)
         .checkpoints(dir, cli.checkpoint_every)
         .build()
@@ -811,7 +811,7 @@ fn run_transfer_checkpointed(
         "[checkpoints every {} slices -> {dir}]",
         cli.checkpoint_every
     )?;
-    match outcome.report {
+    match report {
         Some(r) => Ok(r),
         None => Err(EadtError::job_failed(
             job.display_label(),

@@ -279,7 +279,6 @@ mod tests {
             metrics: Some(reg.snapshot()),
             error_kind: None,
             error: None,
-            report: None,
         }
     }
 

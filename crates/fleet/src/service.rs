@@ -52,6 +52,8 @@ use eadt_sim::{EadtError, Rate, SimRng, SimTime};
 use eadt_telemetry::{EnergyLedger, Event, Journal, Telemetry};
 use eadt_transfer::{EngineCheckpoint, ResourceShare, RunOutcome};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
@@ -440,7 +442,7 @@ impl ServiceSession {
             })
             .collect();
 
-        let mut state = SchedulerState::fresh(workload);
+        let mut state = SchedulerState::fresh(workload, self.policy);
         let mut journal = Journal::new();
         let store = match &self.checkpoint {
             Some((dir, _)) => Some(CheckpointStore::create(dir).map_err(ckpt_err)?),
@@ -471,37 +473,43 @@ impl ServiceSession {
             .sum();
         let quantum = self.quantum;
         let advance = |job, task| advance_job(jobs, &seeds, job, task, quantum);
+        // Arrival cursor: job indices by (arrival round, index). Jobs
+        // before the cursor have been submitted (or were, before a resume).
+        let mut by_arrival: Vec<usize> = (0..jobs.len()).collect();
+        by_arrival.sort_by_key(|&i| (arrivals[i], i));
+        let mut next_arrival = 0;
 
         let round = with_pool(self.workers.min(slots), advance, |pool| {
             let mut round = state.round;
             loop {
                 // 1. Arrivals.
-                for i in 0..jobs.len() {
-                    if state.phase[i] == Phase::Pending && arrivals[i] <= round {
-                        state.phase[i] = Phase::Queued;
-                        state.queue.push(i);
-                        journal.record(
-                            round_start(slice, quantum, round),
-                            Event::JobSubmitted {
-                                job: i as u32,
-                                tenant: jobs[i].tenant,
-                                site: jobs[i].site.clone(),
-                                priority: jobs[i].priority,
-                            },
-                        );
+                while let Some(&i) = by_arrival.get(next_arrival) {
+                    if state.phase[i] != Phase::Pending {
+                        next_arrival += 1;
+                        continue;
                     }
+                    if arrivals[i] > round {
+                        break;
+                    }
+                    next_arrival += 1;
+                    state.enqueue(i);
+                    journal.record(
+                        round_start(slice, quantum, round),
+                        Event::JobSubmitted {
+                            job: i as u32,
+                            tenant: jobs[i].tenant,
+                            site: jobs[i].site.clone(),
+                            priority: jobs[i].priority,
+                        },
+                    );
                 }
 
                 // Nothing live: finished, or fast-forward to the next arrival.
-                if state.queue.is_empty() && state.resident.is_empty() {
-                    let next = (0..jobs.len())
-                        .filter(|&i| state.phase[i] == Phase::Pending)
-                        .map(|i| arrivals[i])
-                        .min();
-                    match next {
+                if state.queued() == 0 && state.resident.is_empty() {
+                    match by_arrival.get(next_arrival) {
                         None => break,
-                        Some(next_round) => {
-                            round = next_round.max(round + 1);
+                        Some(&next) => {
+                            round = arrivals[next].max(round + 1);
                             continue;
                         }
                     }
@@ -517,12 +525,7 @@ impl ServiceSession {
                         if state.site_load[site] < cap.core_slots {
                             continue;
                         }
-                        let Some(&challenger) = state
-                            .queue
-                            .iter()
-                            .filter(|&&q| state.site_of[q] == site)
-                            .max_by_key(|&&q| jobs[q].priority)
-                        else {
+                        let Some(challenger) = state.challenger(site) else {
                             continue;
                         };
                         let Some(&victim) = state
@@ -549,25 +552,7 @@ impl ServiceSession {
                 }
 
                 // 3. Admission: fill free slots in policy order.
-                loop {
-                    let has_slot = |q: usize| {
-                        let site = state.site_of[q];
-                        state.site_load[site] < workload.sites()[site].1.core_slots
-                    };
-                    let candidate = match self.policy {
-                        ArbitrationPolicy::FairShare => {
-                            state.queue.iter().position(|&q| has_slot(q))
-                        }
-                        ArbitrationPolicy::StrictPriority => state
-                            .queue
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, &q)| has_slot(q))
-                            .max_by_key(|&(pos, &q)| (jobs[q].priority, usize::MAX - pos))
-                            .map(|(pos, _)| pos),
-                    };
-                    let Some(pos) = candidate else { break };
-                    let job = state.queue.remove(pos);
+                while let Some(job) = state.pop_admission() {
                     state.admit(job);
                     let returning = state.engine[job].is_some();
                     let now = round_start(slice, quantum, round);
@@ -590,7 +575,7 @@ impl ServiceSession {
                                 job: job as u32,
                                 site: jobs[job].site.clone(),
                                 resident: state.site_load[state.site_of[job]],
-                                waiting: state.queue.len() as u32,
+                                waiting: state.queued() as u32,
                             },
                         );
                     }
@@ -752,7 +737,7 @@ impl ServiceSession {
             fingerprint,
             root_seed: self.root_seed,
             round: state.round,
-            queue: state.queue.iter().map(|&j| j as u32).collect(),
+            queue: state.queue_in_order(),
             resident: state.resident.iter().map(|&j| j as u32).collect(),
             finished: (0..jobs.len())
                 .filter(|&i| state.phase[i] == Phase::Done)
@@ -780,7 +765,7 @@ impl ServiceSession {
         ck: ServiceCheckpoint,
     ) -> Result<(SchedulerState, Journal), EadtError> {
         let jobs = workload.jobs();
-        let mut state = SchedulerState::fresh(workload);
+        let mut state = SchedulerState::fresh(workload, self.policy);
         state.round = ck.round;
         // Every job sits in at most one of the three lists: a job listed
         // twice would be admitted twice and advanced by two tasks a round.
@@ -819,13 +804,16 @@ impl ServiceSession {
             })?;
             state.outcome[i] = Some(Box::new(outcome));
         }
+        // The queue is persisted in enqueue order, so re-enqueueing it in
+        // list order restores every tie-break.
+        for &j in &ck.queue {
+            state.enqueue(j as usize);
+        }
+        for &j in &ck.resident {
+            state.phase[j as usize] = Phase::Resident;
+        }
         for &j in ck.queue.iter().chain(&ck.resident) {
             let i = j as usize;
-            state.phase[i] = if ck.queue.contains(&j) {
-                Phase::Queued
-            } else {
-                Phase::Resident
-            };
             if let Some(jck) = store.load_job_checkpoint(i).map_err(ckpt_err)? {
                 jck.validate(i, &jobs[i].spec.display_label(), seeds[i])
                     .map_err(ckpt_err)?;
@@ -837,7 +825,6 @@ impl ServiceSession {
                 ));
             }
         }
-        state.queue = ck.queue.iter().map(|&j| j as usize).collect();
         state.resident = ck.resident.iter().map(|&j| j as usize).collect();
         for &r in &state.resident {
             state.site_load[state.site_of[r]] += 1;
@@ -888,6 +875,18 @@ impl ServiceSession {
         rounds: u64,
     ) -> Result<ServiceReport, EadtError> {
         let jobs = workload.jobs();
+        let mut metrics = FleetMetrics::default();
+        let mut sites: Vec<SiteReport> = workload
+            .sites()
+            .iter()
+            .map(|(name, _)| SiteReport {
+                site: name.clone(),
+                jobs: 0,
+                moved_bytes: 0,
+                energy_j: 0.0,
+                ledger: EnergyLedger::default(),
+            })
+            .collect();
         let mut outcomes = Vec::with_capacity(jobs.len());
         for (i, slot) in state.outcome.into_iter().enumerate() {
             let outcome = slot.map(|b| *b).unwrap_or_else(|| {
@@ -901,6 +900,14 @@ impl ServiceSession {
                     ),
                 )
             });
+            // Metrics and site totals fold in job order, the order
+            // `FleetMetrics::rollup` adds in.
+            metrics.absorb(&outcome);
+            let site = &mut sites[state.site_of[i]];
+            site.jobs += 1;
+            site.moved_bytes += outcome.moved_bytes;
+            site.energy_j += outcome.energy_j;
+            site.ledger.merge(&outcome.ledger);
             outcomes.push(ServiceJobOutcome {
                 tenant: jobs[i].tenant,
                 site: jobs[i].site.clone(),
@@ -913,28 +920,6 @@ impl ServiceSession {
                 outcome,
             });
         }
-        let flat: Vec<JobOutcome> = outcomes.iter().map(|o| o.outcome.clone()).collect();
-        let metrics = FleetMetrics::rollup(&flat);
-        let sites = workload
-            .sites()
-            .iter()
-            .map(|(name, _)| {
-                let mut site = SiteReport {
-                    site: name.clone(),
-                    jobs: 0,
-                    moved_bytes: 0,
-                    energy_j: 0.0,
-                    ledger: EnergyLedger::default(),
-                };
-                for o in outcomes.iter().filter(|o| o.site == *name) {
-                    site.jobs += 1;
-                    site.moved_bytes += o.outcome.moved_bytes;
-                    site.energy_j += o.outcome.energy_j;
-                    site.ledger.merge(&o.outcome.ledger);
-                }
-                site
-            })
-            .collect();
         Ok(ServiceReport {
             schema: SERVICE_SCHEMA_VERSION,
             root_seed: self.root_seed,
@@ -1007,7 +992,7 @@ fn advance_job<'a>(
     }));
     match result {
         Ok((RunOutcome::Done(report), _)) => Advanced::Finished(Box::new(JobOutcome::from_report(
-            index, &job.spec, seed, report, None,
+            index, &job.spec, seed, &report, None,
         ))),
         Ok((RunOutcome::Halted(engine), resident)) => Advanced::Halted(engine, resident),
         Err(payload) => Advanced::Finished(Box::new(JobOutcome::panicked(
@@ -1033,12 +1018,23 @@ enum Phase {
     Done,
 }
 
+/// A queued job's admission key: (policy priority, enqueue sequence,
+/// job). Ascending order is admission order — highest priority first,
+/// then earliest enqueued. Under fair share every priority is 0.
+type QueueKey = (Reverse<u32>, u64, usize);
+
 /// The scheduler's mutable state, index-aligned with the workload's job
 /// list.
 struct SchedulerState {
     round: u64,
     phase: Vec<Phase>,
-    queue: Vec<usize>,
+    /// Waiting jobs, one ordered set per site.
+    queue: Vec<BTreeSet<QueueKey>>,
+    /// The next enqueue sequence number. Queue order is enqueue order,
+    /// not arrival order: an evicted job rejoins at the back.
+    next_seq: u64,
+    /// Each job's admission priority under the session's policy.
+    rank: Vec<u32>,
     resident: Vec<usize>,
     engine: Vec<Option<Box<EngineCheckpoint>>>,
     outcome: Vec<Option<Box<JobOutcome>>>,
@@ -1050,16 +1046,27 @@ struct SchedulerState {
     site_of: Vec<usize>,
     /// Residents per site, kept in step with `resident`.
     site_load: Vec<u32>,
+    /// Core slots per site.
+    site_slots: Vec<u32>,
 }
 
 impl SchedulerState {
-    fn fresh(workload: &Workload) -> Self {
+    fn fresh(workload: &Workload, policy: ArbitrationPolicy) -> Self {
         let n = workload.jobs().len();
         let sites = workload.sites();
         SchedulerState {
             round: 0,
             phase: vec![Phase::Pending; n],
-            queue: Vec::new(),
+            queue: vec![BTreeSet::new(); sites.len()],
+            next_seq: 0,
+            rank: workload
+                .jobs()
+                .iter()
+                .map(|job| match policy {
+                    ArbitrationPolicy::FairShare => 0,
+                    ArbitrationPolicy::StrictPriority => job.priority,
+                })
+                .collect(),
             resident: Vec::new(),
             engine: (0..n).map(|_| None).collect(),
             outcome: (0..n).map(|_| None).collect(),
@@ -1077,7 +1084,54 @@ impl SchedulerState {
                 })
                 .collect(),
             site_load: vec![0; sites.len()],
+            site_slots: sites.iter().map(|(_, cap)| cap.core_slots).collect(),
         }
+    }
+
+    /// Puts a job at the back of its site's queue.
+    fn enqueue(&mut self, job: usize) {
+        self.phase[job] = Phase::Queued;
+        self.queue[self.site_of[job]].insert((Reverse(self.rank[job]), self.next_seq, job));
+        self.next_seq += 1;
+    }
+
+    /// Jobs waiting across all sites.
+    fn queued(&self) -> usize {
+        self.queue.iter().map(BTreeSet::len).sum()
+    }
+
+    /// Takes the next job to admit off the queue: among the sites with a
+    /// free slot, the head with the highest priority, then the earliest
+    /// enqueued.
+    fn pop_admission(&mut self) -> Option<usize> {
+        let site = (0..self.queue.len())
+            .filter(|&s| self.site_load[s] < self.site_slots[s])
+            .filter_map(|s| self.queue[s].first().map(|head| (head, s)))
+            .min()?
+            .1;
+        self.queue[site].pop_first().map(|(_, _, job)| job)
+    }
+
+    /// The preemption challenger at a site: the *last* enqueued of its
+    /// highest-priority waiters.
+    fn challenger(&self, site: usize) -> Option<usize> {
+        let &(top, _, _) = self.queue[site].first()?;
+        self.queue[site]
+            .range(..=(top, u64::MAX, usize::MAX))
+            .next_back()
+            .map(|&(_, _, job)| job)
+    }
+
+    /// Every waiting job, enqueue order (the persisted queue).
+    fn queue_in_order(&self) -> Vec<u32> {
+        let mut waiting: Vec<(u64, usize)> = self
+            .queue
+            .iter()
+            .flatten()
+            .map(|&(_, seq, job)| (seq, job))
+            .collect();
+        waiting.sort_unstable();
+        waiting.into_iter().map(|(_, job)| job as u32).collect()
     }
 
     /// Makes a job resident (the caller has taken it off the queue).
@@ -1087,12 +1141,11 @@ impl SchedulerState {
         self.site_load[self.site_of[job]] += 1;
     }
 
-    /// Moves a resident back to the queue (keeps its engine state).
+    /// Moves a resident to the back of the queue (keeps its engine state).
     fn evict(&mut self, job: usize) {
         self.resident.retain(|&r| r != job);
         self.site_load[self.site_of[job]] -= 1;
-        self.phase[job] = Phase::Queued;
-        self.queue.push(job);
+        self.enqueue(job);
     }
 }
 

@@ -128,8 +128,10 @@ impl Session {
     }
 
     /// Runs one job (job index 0 of a single-job batch) on the calling
-    /// thread — the convenience path for single-transfer callers.
-    pub fn run_one(&self, job: &JobSpec) -> JobOutcome {
+    /// thread — the convenience path for single-transfer callers. The
+    /// engine report comes back next to the outcome; it is `None` when the
+    /// job failed without producing one.
+    pub fn run_one(&self, job: &JobSpec) -> (JobOutcome, Option<TransferReport>) {
         execute_job(
             self.checkpoint.as_ref(),
             false,
@@ -201,7 +203,7 @@ impl Session {
         let checkpoint = self.checkpoint.as_ref();
         let jobs = with_pool(
             self.workers.min(jobs.len()),
-            |index, job| execute_job(checkpoint, resume, self.root_seed, index, job, run),
+            |index, job| execute_job(checkpoint, resume, self.root_seed, index, job, run).0,
             |pool| pool.map(jobs.iter().enumerate().collect()),
         );
         let metrics = FleetMetrics::rollup(&jobs);
@@ -221,7 +223,7 @@ fn execute_job(
     index: usize,
     job: &JobSpec,
     run: &(dyn Fn(usize, &JobSpec, u64) -> JobRun + Sync),
-) -> JobOutcome {
+) -> (JobOutcome, Option<TransferReport>) {
     let seed = job
         .seed
         .unwrap_or_else(|| derive_job_seed(root_seed, index as u64));
@@ -229,19 +231,22 @@ fn execute_job(
         if let Some(cfg) = checkpoint {
             let store = CheckpointStore::create(&cfg.dir).ok();
             if let Some(outcome) = store.and_then(|s| load_outcome(&s, index, job, seed)) {
-                return outcome;
+                return (outcome, None);
             }
         }
     }
     let executed = catch_unwind(AssertUnwindSafe(|| {
         let (report, metrics) = run(index, job, seed);
-        let outcome = JobOutcome::from_report(index, job, seed, report, metrics);
+        let outcome = JobOutcome::from_report(index, job, seed, &report, metrics);
         if let Some(cfg) = checkpoint {
             persist_outcome(&cfg.open(), &outcome).unwrap_or_else(|e| panic!("{e}"));
         }
-        outcome
+        (outcome, Some(report))
     }));
-    executed.unwrap_or_else(|payload| JobOutcome::panicked(index, job, seed, "job", payload))
+    executed.unwrap_or_else(|payload| {
+        let outcome = JobOutcome::panicked(index, job, seed, "job", payload);
+        (outcome, None)
+    })
 }
 
 /// Runs one job under the checkpoint cadence: halt every `every` slices,
@@ -326,9 +331,10 @@ pub(crate) fn load_outcome(
 /// Serialization deliberately covers only simulation-determined fields —
 /// no worker id, no wall-clock timing — so the aggregate JSON is
 /// byte-identical between serial and parallel runs at the same root seed.
-/// The full [`TransferReport`] stays available in memory (`report`) for
-/// consumers that need the time series; a [`JobOutcome`] loaded back from
-/// a checkpoint directory has `report: None`.
+/// It keeps summaries only, never the engine's per-slice time series, so
+/// a finished job's memory does not grow with its simulated duration;
+/// [`Session::run_one`] hands the full [`TransferReport`] to the caller
+/// that needs it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobOutcome {
     /// The job's index in the batch (also its seed-derivation index).
@@ -385,10 +391,6 @@ pub struct JobOutcome {
     pub error_kind: Option<String>,
     /// Human-readable error (`None` for a clean run).
     pub error: Option<String>,
-    /// The full engine report (absent when the worker panicked; skipped
-    /// in JSON to keep aggregates compact).
-    #[serde(skip)]
-    pub report: Option<TransferReport>,
 }
 
 impl JobOutcome {
@@ -396,7 +398,7 @@ impl JobOutcome {
         index: usize,
         job: &JobSpec,
         seed: u64,
-        report: TransferReport,
+        report: &TransferReport,
         metrics: Option<MetricsSnapshot>,
     ) -> Self {
         let failure = report.failure();
@@ -423,7 +425,6 @@ impl JobOutcome {
             metrics,
             error_kind: failure.as_ref().map(|e| e.kind().as_str().to_string()),
             error: failure.as_ref().map(EadtError::to_string),
-            report: Some(report),
         }
     }
 
@@ -451,7 +452,6 @@ impl JobOutcome {
             metrics: None,
             error_kind: Some(error.kind().as_str().to_string()),
             error: Some(error.to_string()),
-            report: None,
         }
     }
 

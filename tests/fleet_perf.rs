@@ -9,20 +9,8 @@
 
 use criterion::measurement::WallTime;
 use eadt::fleet::{figures_matrix, Session};
-
-fn merge_into_bench_json(key: &str, value: serde_json::Value) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fleet.json");
-    let mut root: serde_json::Value = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!({ "schema": 1 }));
-    if let Some(map) = root.as_object_mut() {
-        map.insert(key.to_string(), value);
-    }
-    let mut text = serde_json::to_string_pretty(&root).expect("serializable");
-    text.push('\n');
-    std::fs::write(path, text).expect("workspace root is writable");
-}
+use eadt_bench::fleet::merge_into_bench_json;
+use eadt_bench::kernel::host;
 
 #[test]
 #[ignore = "perf measurement: run explicitly with --ignored on a multi-core host"]
@@ -44,6 +32,8 @@ fn figures_matrix_scales_on_eight_workers() {
     // its wall-clock ratio is scheduling noise, not a speedup — record the
     // measurement as skipped instead of publishing a meaningless number.
     let mut entry = serde_json::json!({
+        "command": "cargo test --release --test fleet_perf -- --ignored",
+        "host": host(),
         "jobs": jobs.len(),
         "scale": 0.02,
         "root_seed": 42,
