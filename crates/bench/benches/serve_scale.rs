@@ -3,9 +3,9 @@
 //! on one 16-slot XSEDE site, every job arriving at time zero — run to
 //! completion at 1k, 10k and 100k jobs on all host cores.
 //!
-//! Each point runs its job count back to back until it has run
-//! [`JOBS_PER_POINT`] jobs, so every point averages the host over about
-//! the same stretch of time. For each job count it records jobs/s,
+//! Each point runs its job count until it has run [`JOBS_PER_POINT`]
+//! jobs, so every point averages the host over about the same stretch of
+//! time. For each job count it records jobs/s,
 //! process CPU ms per job, the heap the workload itself holds, the heap
 //! a finished run still holds, and the peak live heap of building and
 //! running it, under the `serve_scale` key of `BENCH_fleet.json`, with
@@ -20,6 +20,7 @@
 use criterion::measurement::WallTime;
 use eadt_bench::fleet::{merge_into_bench_json, serve_session, serve_workload};
 use eadt_bench::kernel::host;
+use eadt_fleet::ServiceSession;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -100,55 +101,94 @@ fn cpu_seconds() -> f64 {
 
 const MB: f64 = 1024.0 * 1024.0;
 
+/// What the repeats of one job count measured.
+#[derive(Default)]
+struct Point {
+    repeats: usize,
+    wall_s: f64,
+    cpu_s: f64,
+    peak_bytes: usize,
+    /// Heap of the workload, of the finished run, and the run's schedule
+    /// shape, from the latest repeat (each repeat is identical).
+    workload_bytes: usize,
+    retained_bytes: usize,
+    rounds: u64,
+    preemptions: u64,
+    journal_records: usize,
+}
+
+/// Builds and runs the serve workload of `jobs` once, adding to `point`.
+fn measure(session: &ServiceSession, jobs: usize, point: &mut Point) {
+    let base = reset_peak();
+    let workload = serve_workload(jobs);
+    let workload_bytes = LIVE.load(Ordering::Relaxed) - base;
+    let cpu_before = cpu_seconds();
+    let (run, wall_s) = WallTime::time(|| session.run(&workload));
+    point.cpu_s += cpu_seconds() - cpu_before;
+    point.wall_s += wall_s;
+    let run = run.expect("the serve workload is valid");
+    assert_eq!(
+        run.report.completed_count(),
+        jobs,
+        "every serve job finishes"
+    );
+    point.repeats += 1;
+    point.retained_bytes = LIVE.load(Ordering::Relaxed) - base - workload_bytes;
+    point.peak_bytes = point.peak_bytes.max(PEAK.load(Ordering::Relaxed) - base);
+    point.workload_bytes = workload_bytes;
+    point.rounds = run.report.rounds;
+    point.preemptions = run
+        .report
+        .jobs
+        .iter()
+        .map(|j| u64::from(j.preemptions))
+        .sum();
+    point.journal_records = run.journal.len();
+}
+
 fn main() {
     let workers = std::thread::available_parallelism().map_or(1, usize::from);
     let session = serve_session(workers);
+    let mut acc: Vec<Point> = JOB_COUNTS.iter().map(|_| Point::default()).collect();
+    // Up the curve and back down: every count but the largest runs half
+    // its repeats on each side of the largest, so a host whose speed
+    // drifts steadily over the run biases no point against another.
+    let up = JOB_COUNTS
+        .iter()
+        .enumerate()
+        .map(|(k, &jobs)| (k, jobs, (JOBS_PER_POINT / jobs).div_ceil(2)));
+    let down = JOB_COUNTS
+        .iter()
+        .enumerate()
+        .rev()
+        .map(|(k, &jobs)| (k, jobs, JOBS_PER_POINT / jobs / 2));
+    for (k, jobs, repeats) in up.chain(down) {
+        for _ in 0..repeats {
+            measure(&session, jobs, &mut acc[k]);
+        }
+    }
+
     let mut points = Vec::new();
     let mut last_peak: Option<(usize, usize)> = None;
-    for jobs in JOB_COUNTS {
-        let repeats = JOBS_PER_POINT / jobs;
-        let (mut wall_s, mut cpu_s, mut peak_bytes) = (0.0, 0.0, 0);
-        let mut last = None;
-        for _ in 0..repeats {
-            // The previous repeat's run and workload are gone: each window
-            // starts from the same live heap.
-            drop(last.take());
-            let base = reset_peak();
-            let workload = serve_workload(jobs);
-            let workload_bytes = LIVE.load(Ordering::Relaxed) - base;
-            let cpu_before = cpu_seconds();
-            let (run, wall) = WallTime::time(|| session.run(&workload));
-            cpu_s += cpu_seconds() - cpu_before;
-            wall_s += wall;
-            let run = run.expect("the serve workload is valid");
-            let retained_bytes = LIVE.load(Ordering::Relaxed) - base - workload_bytes;
-            peak_bytes = peak_bytes.max(PEAK.load(Ordering::Relaxed) - base);
-            assert_eq!(
-                run.report.completed_count(),
-                jobs,
-                "every serve job finishes"
-            );
-            last = Some((run, workload, workload_bytes, retained_bytes));
-        }
-        let (run, _, workload_bytes, retained_bytes) = last.expect("at least one repeat");
-        let total_jobs = (jobs * repeats) as f64;
+    for (&jobs, p) in JOB_COUNTS.iter().zip(&acc) {
+        let total_jobs = (jobs * p.repeats) as f64;
         let mut point = serde_json::json!({
             "jobs": jobs,
-            "repeats": repeats,
-            "wall_s": wall_s,
-            "jobs_per_s": total_jobs / wall_s,
-            "cpu_ms_per_job": cpu_s * 1e3 / total_jobs,
-            "rounds": run.report.rounds,
-            "preemptions": run.report.jobs.iter().map(|j| u64::from(j.preemptions)).sum::<u64>(),
-            "journal_records": run.journal.len(),
-            "workload_heap_mb": workload_bytes as f64 / MB,
-            "retained_heap_mb": retained_bytes as f64 / MB,
-            "peak_heap_mb": peak_bytes as f64 / MB,
+            "repeats": p.repeats,
+            "wall_s": p.wall_s,
+            "jobs_per_s": total_jobs / p.wall_s,
+            "cpu_ms_per_job": p.cpu_s * 1e3 / total_jobs,
+            "rounds": p.rounds,
+            "preemptions": p.preemptions,
+            "journal_records": p.journal_records,
+            "workload_heap_mb": p.workload_bytes as f64 / MB,
+            "retained_heap_mb": p.retained_bytes as f64 / MB,
+            "peak_heap_mb": p.peak_bytes as f64 / MB,
         });
         if let Some((prev_jobs, prev_peak)) = last_peak {
             // The slope of the peak against the previous point: what one
             // more job costs at the peak, fixed costs cancelled.
-            let slope = (peak_bytes as f64 - prev_peak as f64) / (jobs - prev_jobs) as f64;
+            let slope = (p.peak_bytes as f64 - prev_peak as f64) / (jobs - prev_jobs) as f64;
             if let Some(map) = point.as_object_mut() {
                 map.insert(
                     "peak_heap_growth_bytes_per_job".to_string(),
@@ -156,7 +196,7 @@ fn main() {
                 );
             }
         }
-        last_peak = Some((jobs, peak_bytes));
+        last_peak = Some((jobs, p.peak_bytes));
         println!("serve_scale: {point}");
         points.push(point);
     }

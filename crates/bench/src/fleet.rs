@@ -85,42 +85,24 @@ pub fn merge_into_bench_json(key: &str, value: serde_json::Value) {
 
 /// The committed retained-heap bound (the `memory_gate` key of
 /// `BENCH_fleet.json`): heap bytes a finished [`ServiceSession::run`]
-/// still holds per job, measured as the slope between two job counts of
-/// [`serve_workload`]. Live-byte counts are deterministic, so the bound
-/// holds on any host.
+/// still holds per job of [`serve_workload`]. Live-byte counts are
+/// deterministic, so the bound holds on any host.
 #[derive(Debug, Clone, Copy)]
 pub struct MemoryGate {
-    /// The smaller measured job count.
-    pub small_jobs: usize,
-    /// The larger measured job count.
-    pub large_jobs: usize,
     /// Allowed retained heap per job, bytes.
     pub max_retained_bytes_per_job: f64,
 }
 
 impl MemoryGate {
-    /// Loads the committed bound, falling back to the defaults the repo
+    /// Loads the committed bound, falling back to the default the repo
     /// ships when the key is absent.
     pub fn load() -> Self {
-        let fallback = MemoryGate {
-            small_jobs: 56,
-            large_jobs: 224,
-            max_retained_bytes_per_job: 4096.0,
-        };
-        let Some(root) = std::fs::read_to_string(bench_json_path())
+        let bound = std::fs::read_to_string(bench_json_path())
             .ok()
             .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-        else {
-            return fallback;
-        };
-        let gate = &root["memory_gate"];
-        let count = |key: &str, fb: usize| gate[key].as_u64().map_or(fb, |v| v as usize);
+            .and_then(|root| root["memory_gate"]["max_retained_bytes_per_job"].as_f64());
         MemoryGate {
-            small_jobs: count("small_jobs", fallback.small_jobs),
-            large_jobs: count("large_jobs", fallback.large_jobs),
-            max_retained_bytes_per_job: gate["max_retained_bytes_per_job"]
-                .as_f64()
-                .unwrap_or(fallback.max_retained_bytes_per_job),
+            max_retained_bytes_per_job: bound.unwrap_or(4096.0),
         }
     }
 }

@@ -243,10 +243,8 @@ fn execute_job(
         }
         (outcome, Some(report))
     }));
-    executed.unwrap_or_else(|payload| {
-        let outcome = JobOutcome::panicked(index, job, seed, "job", payload);
-        (outcome, None)
-    })
+    executed
+        .unwrap_or_else(|payload| (JobOutcome::panicked(index, job, seed, "job", payload), None))
 }
 
 /// Runs one job under the checkpoint cadence: halt every `every` slices,
