@@ -21,7 +21,7 @@ pub const SERVE_SEED: u64 = 42;
 
 /// Algorithms the serve workload cycles through, so any multiple of
 /// their count is the same job mix.
-pub const SERVE_KINDS: [AlgorithmKind; 7] = [
+const SERVE_KINDS: [AlgorithmKind; 7] = [
     AlgorithmKind::MinE,
     AlgorithmKind::Htee,
     AlgorithmKind::Slaee,
@@ -62,7 +62,7 @@ pub fn serve_session(workers: usize) -> ServiceSession {
 }
 
 /// Workspace-root path of `BENCH_fleet.json`.
-pub fn bench_json_path() -> &'static str {
+fn bench_json_path() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json")
 }
 
