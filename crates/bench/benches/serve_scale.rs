@@ -5,11 +5,11 @@
 //!
 //! Each point runs its job count until it has run [`JOBS_PER_POINT`]
 //! jobs, so every point averages the host over about the same stretch of
-//! time. For each job count it records jobs/s,
-//! process CPU ms per job, the heap the workload itself holds, the heap
-//! a finished run still holds, and the peak live heap of building and
-//! running it, under the `serve_scale` key of `BENCH_fleet.json`, with
-//! the host and this command. Regenerate with:
+//! time. For each job count it records jobs/s, process CPU ms per job,
+//! the heap the workload itself holds, the heap a finished run still
+//! holds, and the peak live heap of building and running it, under the
+//! `serve_scale` key of `BENCH_fleet.json`, with the host and this
+//! command. Regenerate with:
 //!
 //! ```text
 //! cargo bench -p eadt-bench --bench serve_scale
