@@ -1,11 +1,14 @@
 //! The on-disk checkpoint directory: atomic writes, tolerant reads.
 //!
-//! Layout (one directory per fleet run or single transfer):
+//! Layout (one directory per fleet run, service run or single transfer):
 //!
 //! ```text
-//! <dir>/job-<index>.ckpt.json     latest engine checkpoint of the job
+//! <dir>/job-<index>.ckpt.json     latest engine checkpoint of a batch job
 //! <dir>/job-<index>.journal.jsonl event journal as of that checkpoint
 //! <dir>/job-<index>.outcome.json  final outcome (job finished; ckpt gone)
+//! <dir>/service.ckpt.json         service scheduler snapshot, with the
+//!                                 suspended jobs' engine checkpoints
+//! <dir>/service.journal.jsonl     service journal prefix
 //! ```
 //!
 //! Every write goes through a temp file in the same directory followed by
@@ -29,7 +32,7 @@ pub const JOB_CHECKPOINT_SCHEMA_VERSION: u32 = 1;
 /// An engine checkpoint bound to the fleet job that produced it, so a
 /// resume against a reordered or edited job list is caught before the
 /// engine ever sees the snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobCheckpoint {
     /// Wrapper schema version ([`JOB_CHECKPOINT_SCHEMA_VERSION`]).
     pub schema: u32,

@@ -41,8 +41,8 @@ use eadt_dataset::Dataset;
 use eadt_sim::SimTime;
 use eadt_telemetry::{Event, Telemetry};
 use eadt_transfer::{
-    Controller, Engine, FaultAware, RunControl, RunOutcome, SliceArena, TransferEnv, TransferPlan,
-    TransferReport,
+    Controller, Engine, EngineCheckpoint, FaultAware, LegOutcome, ResourceShare, RunControl,
+    RunOutcome, RunState, SliceArena, TransferEnv, TransferPlan, TransferReport,
 };
 
 pub use ctx::RunCtx;
@@ -77,10 +77,11 @@ pub trait Algorithm {
     /// controller that steers it (fault-aware wrapper included).
     ///
     /// Planning is a pure function of `(self, env, dataset)`, so the
-    /// result serves any number of checkpoint legs of one transfer: a
-    /// caller may keep it and run leg after leg (each resuming from the
-    /// previous leg's [`eadt_transfer::EngineCheckpoint`]), or plan again
-    /// per leg, with byte-identical output either way.
+    /// result serves any number of legs of one transfer: a caller may
+    /// keep it and run leg after leg (each continuing the previous leg's
+    /// live state, or resuming from its
+    /// [`eadt_transfer::EngineCheckpoint`]), or plan again per leg and
+    /// resume from the checkpoint, with byte-identical output either way.
     fn plan(&self, env: &TransferEnv, dataset: &Dataset) -> PlannedRun;
 
     /// Runs the whole transfer described by `ctx` — environment, dataset,
@@ -123,11 +124,14 @@ pub trait Algorithm {
 /// What [`Algorithm::plan`] decided: the static plan plus the controller
 /// that steers it.
 ///
-/// [`PlannedRun::run`] executes one leg on the engine. The controller is
-/// `Send`, so a planned run can travel with its job between worker
-/// threads. Keeping one across legs is sound because a resumed leg
-/// restores the controller from the checkpoint's snapshot before the
-/// engine moves, exactly as a freshly planned controller would be.
+/// [`PlannedRun::run`] executes one leg on the engine under checkpoint
+/// control; [`PlannedRun::leg`] executes one leg from, and back into, a
+/// live [`RunState`], with the controller carrying its state from leg to
+/// leg. The controller is `Send`, so a planned run can travel with its
+/// job between worker threads. Keeping one across checkpoint legs is
+/// sound because a resumed leg restores the controller from the
+/// checkpoint's snapshot before the engine moves, exactly as a freshly
+/// planned controller would be.
 pub struct PlannedRun {
     /// The plan the engine executes.
     pub plan: TransferPlan,
@@ -164,6 +168,19 @@ impl PlannedRun {
         self
     }
 
+    /// Journals the planning decision at time zero, with the first
+    /// stage's channel counts as targets.
+    fn record_decision(&self, tel: &mut Telemetry, reason: &'static str) {
+        tel.record_with(SimTime::ZERO, || Event::Decision {
+            reason: reason.to_string(),
+            targets: self.plan.stages[0]
+                .chunks
+                .iter()
+                .map(|c| c.channels)
+                .collect(),
+        });
+    }
+
     /// Runs one leg: fresh or resuming, halting or to completion, per
     /// `ctl` (see [`Engine::run_controlled_in`]). A resumed leg skips the
     /// planning telemetry, which is already in the journal prefix the
@@ -176,15 +193,62 @@ impl PlannedRun {
         arena: &mut SliceArena,
     ) -> RunOutcome {
         if let (Some(reason), None) = (self.decision, &ctl.resume) {
-            tel.record_with(SimTime::ZERO, || Event::Decision {
-                reason: reason.to_string(),
-                targets: self.plan.stages[0]
-                    .chunks
-                    .iter()
-                    .map(|c| c.channels)
-                    .collect(),
-            });
+            self.record_decision(tel, reason);
         }
         Engine::new(env).run_controlled_in(&self.plan, &mut *self.controller, tel, ctl, arena)
+    }
+
+    /// Runs one live leg (see [`Engine::run_leg`]): from the start when
+    /// `state` is `None`, journaling the planning decision like a fresh
+    /// [`PlannedRun::run`]; otherwise continuing the state a previous
+    /// leg of this planned run handed back, or [`PlannedRun::restore`]
+    /// rebuilt.
+    pub fn leg(
+        &mut self,
+        env: &TransferEnv,
+        tel: &mut Telemetry,
+        state: Option<RunState>,
+        halt_after: Option<u64>,
+        share: ResourceShare,
+        arena: &mut SliceArena,
+    ) -> LegOutcome {
+        if let (Some(reason), None) = (self.decision, &state) {
+            self.record_decision(tel, reason);
+        }
+        Engine::new(env).run_leg(
+            &self.plan,
+            &mut *self.controller,
+            tel,
+            state,
+            halt_after,
+            share,
+            arena,
+        )
+    }
+
+    /// Converts a persisted checkpoint of this planned run back to its
+    /// live state, restoring the controller (see [`Engine::restore`]).
+    ///
+    /// # Panics
+    /// As [`Engine::restore`].
+    pub fn restore(
+        &mut self,
+        env: &TransferEnv,
+        tel: &mut Telemetry,
+        ck: EngineCheckpoint,
+    ) -> RunState {
+        Engine::new(env).restore(&self.plan, &mut *self.controller, tel, ck)
+    }
+
+    /// The checkpoint of a live state of this planned run, for
+    /// persisting it (see [`Engine::checkpoint`]: the series move into
+    /// it; [`RunState::reclaim`] takes them back).
+    pub fn checkpoint(
+        &self,
+        env: &TransferEnv,
+        state: &mut RunState,
+        tel: &Telemetry,
+    ) -> EngineCheckpoint {
+        Engine::new(env).checkpoint(&self.plan, state, &*self.controller, tel)
     }
 }

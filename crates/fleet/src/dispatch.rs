@@ -8,8 +8,8 @@ use eadt_dataset::Dataset;
 use eadt_sim::Rate;
 use eadt_telemetry::Telemetry;
 use eadt_transfer::{
-    EngineCheckpoint, NullController, ResourceShare, RunControl, RunOutcome, SliceArena,
-    TransferEnv, TransferReport,
+    EngineCheckpoint, LegOutcome, NullController, ResourceShare, RunControl, RunOutcome, RunState,
+    SliceArena, TransferEnv, TransferReport,
 };
 use std::borrow::Cow;
 
@@ -156,20 +156,25 @@ impl<'a> JobRunner<'a> {
     }
 }
 
-/// A job kept live between checkpoint legs: prepared and planned once
-/// (only the plan and its environment are kept), with a warm engine
-/// scratch arena.
+/// A job kept live between legs: prepared and planned once (only the
+/// plan and its environment are kept), with its engine state between
+/// legs and a warm engine scratch arena.
 ///
 /// [`ServiceSession`](crate::ServiceSession) builds one at a job's first
 /// advance and keeps it, across preemptions, until the job finishes;
 /// [`Session`](crate::Session)'s checkpoint cadence runs every leg of a
-/// job through one. Each leg still resumes from the previous leg's
-/// [`EngineCheckpoint`], so a leg's output is exactly that of a freshly
-/// prepared [`JobRunner`] resuming the same checkpoint.
+/// job through one. A halted leg leaves its live [`RunState`] in the
+/// resident and the next leg continues it: no checkpoint is made unless
+/// the caller persists one ([`Resident::checkpoint`]), and a leg's output
+/// is exactly that of a freshly prepared [`JobRunner`] resuming from that
+/// checkpoint.
 pub(crate) struct Resident<'a> {
     /// The job's environment, fault override applied.
     env: Cow<'a, TransferEnv>,
     planned: PlannedRun,
+    /// The engine state the last leg halted with; `None` before the
+    /// first leg.
+    state: Option<RunState>,
     arena: SliceArena,
 }
 
@@ -182,26 +187,53 @@ impl<'a> Resident<'a> {
         Resident {
             env: runner.env,
             planned,
+            state: None,
             arena: SliceArena::default(),
         }
     }
 
-    /// Runs one leg of at most `slices` slices under `share`: from the
-    /// start when `engine` is `None`, otherwise resuming from it.
+    /// Makes a persisted checkpoint the state the next leg continues
+    /// from (restoring the controller, and `tel`'s metrics and spans).
+    pub(crate) fn restore(&mut self, ck: EngineCheckpoint, tel: &mut Telemetry) {
+        self.state = Some(self.planned.restore(&self.env, tel, ck));
+    }
+
+    /// Runs one leg of at most `slices` slices under `share`, from the
+    /// start or continuing the live state. Returns the report when the
+    /// transfer finished, `None` when it halted (its state stays here).
     pub(crate) fn leg(
         &mut self,
-        engine: Option<Box<EngineCheckpoint>>,
         slices: u64,
         share: ResourceShare,
         tel: &mut Telemetry,
-    ) -> RunOutcome {
-        let halt = engine.as_ref().map_or(0, |e| e.slices_done) + slices;
-        let ctl = RunControl {
-            resume: engine,
-            halt_after: Some(halt),
-            share,
-        };
-        self.planned.run(&self.env, tel, ctl, &mut self.arena)
+    ) -> Option<TransferReport> {
+        let state = self.state.take();
+        let halt = state.as_ref().map_or(0, RunState::slices_done) + slices;
+        match self
+            .planned
+            .leg(&self.env, tel, state, Some(halt), share, &mut self.arena)
+        {
+            LegOutcome::Done(report) => Some(report),
+            LegOutcome::Halted(state) => {
+                self.state = Some(state);
+                None
+            }
+        }
+    }
+
+    /// The checkpoint of the live state, for persisting it; `None` before
+    /// the first leg. The per-slice series move into it: hand it back
+    /// with [`Resident::reclaim`] before the next leg.
+    pub(crate) fn checkpoint(&mut self, tel: &Telemetry) -> Option<EngineCheckpoint> {
+        let state = self.state.as_mut()?;
+        Some(self.planned.checkpoint(&self.env, state, tel))
+    }
+
+    /// Takes back a checkpoint made by [`Resident::checkpoint`].
+    pub(crate) fn reclaim(&mut self, ck: EngineCheckpoint) {
+        if let Some(state) = &mut self.state {
+            state.reclaim(ck);
+        }
     }
 }
 
@@ -247,20 +279,52 @@ mod tests {
         }
     }
 
-    /// Every leg's checkpoint and the final report, serialized.
-    fn legs(
-        mut leg: impl FnMut(Option<Box<EngineCheckpoint>>, usize) -> RunOutcome,
-    ) -> Vec<String> {
+    const QUANTUM: u64 = 13;
+    const SEED: u64 = 3;
+
+    fn json<T: serde::Serialize>(value: &T) -> String {
+        serde_json::to_string(value).expect("checkpoints and reports serialize")
+    }
+
+    /// A resident run leg by leg, the live state continuing from each
+    /// halt: every boundary's state converted to a checkpoint, then the
+    /// final report, serialized.
+    fn live_legs(spec: &JobSpec, tel: &mut Telemetry) -> Vec<String> {
+        let mut resident = Resident::new(spec, SEED);
         let mut out = Vec::new();
-        let mut engine = None;
         for i in 0.. {
-            match leg(engine.take(), i) {
+            if let Some(report) = resident.leg(QUANTUM, share_for_leg(i), tel) {
+                out.push(json(&report));
+                break;
+            }
+            let ck = resident
+                .checkpoint(tel)
+                .expect("a halted resident holds its state");
+            out.push(json(&ck));
+            resident.reclaim(ck);
+        }
+        out
+    }
+
+    /// The same legs, each freshly prepared and resumed from the
+    /// previous leg's checkpoint.
+    fn fresh_legs(spec: &JobSpec, tel: &mut Telemetry) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut engine: Option<Box<EngineCheckpoint>> = None;
+        for i in 0.. {
+            let halt = engine.as_ref().map_or(0, |e| e.slices_done) + QUANTUM;
+            let ctl = RunControl {
+                resume: engine.take(),
+                halt_after: Some(halt),
+                share: share_for_leg(i),
+            };
+            match JobRunner::prepare(spec, SEED).run_instrumented(ctl, tel) {
                 RunOutcome::Halted(ck) => {
-                    out.push(serde_json::to_string(&ck).expect("checkpoint serializes"));
+                    out.push(json(&ck));
                     engine = Some(ck);
                 }
                 RunOutcome::Done(report) => {
-                    out.push(serde_json::to_string(&report).expect("report serializes"));
+                    out.push(json(&report));
                     break;
                 }
             }
@@ -268,16 +332,19 @@ mod tests {
         out
     }
 
+    /// The oracle for live legs: continuing the engine state a halt
+    /// handed back must be indistinguishable from the checkpoint round
+    /// trip it replaces — same checkpoint at every boundary, same report,
+    /// and (with telemetry on) the same journal and metrics.
     #[test]
-    fn resident_legs_match_freshly_prepared_legs() {
-        const QUANTUM: u64 = 13;
+    fn live_legs_match_checkpoint_round_trips() {
         let tb = eadt_testbeds::xsede();
         let faults = eadt_transfer::FaultPlan::channel_only(eadt_transfer::FaultModel::new(
             eadt_sim::SimDuration::from_secs(15),
             5,
         ));
         for kind in AlgorithmKind::ALL {
-            for faulty in [false, true] {
+            for (faulty, instrumented) in [(false, false), (true, false), (true, true)] {
                 let mut spec = JobSpec::new(kind, tb.clone())
                     .with_scale(0.01)
                     .with_max_channel(4)
@@ -285,28 +352,35 @@ mod tests {
                 if faulty {
                     spec = spec.with_faults(faults.clone()).with_fault_aware(true);
                 }
-                let mut resident = Resident::new(&spec, 3);
-                let kept = legs(|engine, i| {
-                    resident.leg(
-                        engine,
-                        QUANTUM,
-                        share_for_leg(i),
-                        &mut Telemetry::disabled(),
+                // As the batch cadence and `eadt fleet --metrics-out` run:
+                // one registry (and journal) across every leg.
+                let tel = || match instrumented {
+                    false => Telemetry::disabled(),
+                    true => Telemetry::from_parts(
+                        Some(eadt_telemetry::Journal::new()),
+                        Some(eadt_telemetry::MetricsRegistry::new(
+                            eadt_sim::SimDuration::from_secs(1),
+                        )),
+                    ),
+                };
+                let (mut live_tel, mut fresh_tel) = (tel(), tel());
+                let live = live_legs(&spec, &mut live_tel);
+                let fresh = fresh_legs(&spec, &mut fresh_tel);
+                let case = format!("{kind} faulty={faulty} instrumented={instrumented}");
+                assert!(live.len() > 3, "{case}: too few legs to test");
+                assert_eq!(live, fresh, "{case}");
+                let sinks = |t: &Telemetry| {
+                    (
+                        t.journal().map(eadt_telemetry::Journal::to_jsonl),
+                        t.metrics_ref().map(|m| json(&m.snapshot())),
                     )
-                });
-                let fresh = legs(|engine, i| {
-                    let halt = engine.as_ref().map_or(0, |e| e.slices_done) + QUANTUM;
-                    JobRunner::prepare(&spec, 3).run_controlled(RunControl {
-                        resume: engine,
-                        halt_after: Some(halt),
-                        share: share_for_leg(i),
-                    })
-                });
-                assert!(
-                    kept.len() > 3,
-                    "{kind} faulty={faulty}: too few legs to test"
-                );
-                assert_eq!(kept, fresh, "{kind} faulty={faulty}");
+                };
+                assert_eq!(sinks(&live_tel), sinks(&fresh_tel), "{case}");
+                if instrumented {
+                    assert!(sinks(&live_tel)
+                        .0
+                        .is_some_and(|j| j.contains("\"ev\":\"span_begin\"")));
+                }
             }
         }
     }

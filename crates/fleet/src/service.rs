@@ -6,8 +6,8 @@
 //! [`Workload`] — jobs arriving over simulated time on a seeded Poisson
 //! process, competing for shared per-site resource pools
 //! ([`eadt_endsys::pool`]) under fair-share or strict-priority
-//! arbitration, preempted and resumed through the engine's
-//! checkpoint/halt path, and rolled up into per-site energy accounting.
+//! arbitration, preempted and resumed by halting and continuing their
+//! engines, and rolled up into per-site energy accounting.
 //!
 //! The scheduler is a deterministic round loop. Each **round** is
 //! `quantum` engine slices long; at every round boundary the coordinator
@@ -16,8 +16,8 @@
 //! 1. moves newly-arrived jobs into the admission queue (`job_submitted`);
 //! 2. preempts, under strict priority, the lowest-priority resident of a
 //!    full site when a higher-priority job waits (`job_preempted`) —
-//!    eviction is just *not rescheduling*: the victim already holds an
-//!    [`EngineCheckpoint`] from the previous round's halt;
+//!    eviction is just *not rescheduling*: the victim's [`Resident`]
+//!    already holds its live engine state from the previous round's halt;
 //! 3. admits queued jobs while core slots remain (`job_admitted`,
 //!    `job_resumed` for re-entries);
 //! 4. arbitrates each site's pooled bandwidth and disk across its
@@ -25,13 +25,14 @@
 //!    [`ResourceShare`] factors;
 //! 5. advances every resident by one quantum **in parallel** on the
 //!    fleet worker pool, whose threads live for the whole run. A job's
-//!    [`Resident`] — its prepared dataset, planned run and engine arena —
-//!    is built at its first advance and travels with it, across
-//!    preemptions, until it finishes; each leg resumes from the job's
-//!    checkpoint under its share, so a leg is a pure function of
-//!    (job, checkpoint, share) and worker count cannot leak into results;
-//! 6. books finished transfers (`job_finished`) and carries halted
-//!    engine state to the next round.
+//!    [`Resident`] — its planned run, live engine state and engine
+//!    arena — is built at its first advance and travels with it, across
+//!    preemptions, until it finishes; each leg continues the job's engine
+//!    state under its share, so a leg is a pure function of (job, state,
+//!    share) and worker count cannot leak into results;
+//! 6. books finished transfers (`job_finished`); halted residents keep
+//!    their engine state for the next round. Nothing is serialized
+//!    unless the checkpoint cadence persists the service.
 //!
 //! Same root seed ⇒ byte-identical [`ServiceReport`] JSON and service
 //! journal, whatever the worker count — the contract CI's
@@ -41,7 +42,7 @@ use crate::dispatch::Resident;
 use crate::pool::{default_workers, with_pool};
 use crate::rollup::FleetMetrics;
 use crate::seed::derive_job_seed;
-use crate::session::{load_outcome, persist_outcome, JobOutcome};
+use crate::session::{load_outcome, write_outcome, JobOutcome};
 use crate::spec::JobSpec;
 use eadt_ckpt::{
     CheckpointStore, JobCheckpoint, ServiceCheckpoint, ServiceJobState,
@@ -50,7 +51,7 @@ use eadt_ckpt::{
 use eadt_endsys::pool::{arbitrate, ArbitrationPolicy, PoolCapacity, PoolMember};
 use eadt_sim::{EadtError, Rate, SimRng, SimTime};
 use eadt_telemetry::{EnergyLedger, Event, Journal, Telemetry};
-use eadt_transfer::{EngineCheckpoint, ResourceShare, RunOutcome};
+use eadt_transfer::ResourceShare;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
@@ -342,9 +343,10 @@ impl ServiceSessionBuilder {
     }
 
     /// Enables crash-safe service checkpointing: every `every_rounds`
-    /// rounds the scheduler persists its [`ServiceCheckpoint`], every
-    /// live engine checkpoint and the service journal prefix under
-    /// `dir`; [`ServiceSession::resume`] completes an interrupted run
+    /// rounds the scheduler persists the service journal prefix and then,
+    /// in one atomic write, its [`ServiceCheckpoint`] with every
+    /// suspended job's engine checkpoint under `dir`;
+    /// [`ServiceSession::resume`] completes an interrupted run
     /// byte-identically.
     pub fn checkpoints(mut self, dir: impl Into<PathBuf>, every_rounds: u64) -> Self {
         self.checkpoint = Some((dir.into(), every_rounds.max(1)));
@@ -444,6 +446,11 @@ impl ServiceSession {
 
         let mut state = SchedulerState::fresh(workload, self.policy);
         let mut journal = Journal::new();
+        // Live residents, index-aligned with `jobs`: built at a job's
+        // first advance (or from its persisted engine checkpoint on a
+        // resume from disk), kept across preemptions with the job's live
+        // engine state, and dropped when it finishes.
+        let mut residents: Vec<Option<Box<Resident<'_>>>> = jobs.iter().map(|_| None).collect();
         let store = match &self.checkpoint {
             Some((dir, _)) => Some(CheckpointStore::create(dir).map_err(ckpt_err)?),
             None => None,
@@ -452,15 +459,10 @@ impl ServiceSession {
             if let Some(store) = &store {
                 if let Some(ck) = store.load_service_checkpoint().map_err(ckpt_err)? {
                     ck.validate(fingerprint, self.root_seed).map_err(ckpt_err)?;
-                    (state, journal) = self.restore(workload, &seeds, store, ck)?;
+                    (state, journal) = self.reload(workload, &seeds, store, ck, &mut residents)?;
                 }
             }
         }
-        // Live residents, index-aligned with `jobs`: built lazily at a
-        // job's first advance (also after a resume from disk) and dropped
-        // when it finishes. Not part of the serialized scheduler state —
-        // the engine checkpoints are.
-        let mut residents: Vec<Option<Box<Resident<'_>>>> = jobs.iter().map(|_| None).collect();
         // Per-round grants, reused across rounds: every entry set during
         // arbitration is taken back when the round's tasks are built.
         let mut shares: Vec<Option<ResourceShare>> = vec![None; jobs.len()];
@@ -518,8 +520,8 @@ impl ServiceSession {
                 // 2. Priority preemption: under strict priority, a full
                 // site must yield its lowest-priority resident to a
                 // strictly higher-priority waiter. The victim keeps its
-                // checkpoint and goes back to the queue — preemption is
-                // "not rescheduling".
+                // live engine state and goes back to the queue —
+                // preemption is "not rescheduling".
                 if self.policy == ArbitrationPolicy::StrictPriority {
                     for (site, (name, cap)) in workload.sites().iter().enumerate() {
                         if state.site_load[site] < cap.core_slots {
@@ -554,7 +556,7 @@ impl ServiceSession {
                 // 3. Admission: fill free slots in policy order.
                 while let Some(job) = state.pop_admission() {
                     state.admit(job);
-                    let returning = state.engine[job].is_some();
+                    let returning = residents[job].is_some();
                     let now = round_start(slice, quantum, round);
                     if state.admitted_round[job].is_none() {
                         state.admitted_round[job] = Some(round);
@@ -642,7 +644,6 @@ impl ServiceSession {
                     .iter()
                     .map(|&job| {
                         let task = AdvanceTask {
-                            engine: state.engine[job].take(),
                             share: shares[job].take().unwrap_or_default(),
                             resident: residents[job].take(),
                         };
@@ -657,8 +658,7 @@ impl ServiceSession {
                 let mut still_resident = Vec::with_capacity(state.resident.len());
                 for (job, outcome) in state.resident.iter().copied().zip(results) {
                     match outcome {
-                        Advanced::Halted(engine, resident) => {
-                            state.engine[job] = Some(engine);
+                        Advanced::Halted(resident) => {
                             residents[job] = Some(resident);
                             still_resident.push(job);
                         }
@@ -675,7 +675,7 @@ impl ServiceSession {
                             state.site_load[state.site_of[job]] -= 1;
                             state.finished_round[job] = Some(round);
                             if let Some(store) = &store {
-                                persist_outcome(store, &outcome).map_err(ckpt_err)?;
+                                write_outcome(store, &outcome).map_err(ckpt_err)?;
                             }
                             state.outcome[job] = Some(outcome);
                         }
@@ -689,14 +689,21 @@ impl ServiceSession {
                 round += 1;
                 state.round = round;
 
-                // Cadence checkpoint: a consistent snapshot of the
-                // scheduler, every live engine checkpoint, and the journal
-                // prefix. The service checkpoint is written last — it is
-                // the commit point.
+                // Cadence checkpoint: the journal prefix, then the
+                // scheduler and every suspended engine in one atomic
+                // write — the commit point.
                 if let (Some(store), Some((_, every))) = (&store, &self.checkpoint) {
                     if round.is_multiple_of(*every) {
-                        self.persist(workload, &seeds, store, &state, &journal, fingerprint)
-                            .map_err(ckpt_err)?;
+                        self.persist(
+                            workload,
+                            &seeds,
+                            store,
+                            &state,
+                            &mut residents,
+                            &journal,
+                            fingerprint,
+                        )
+                        .map_err(ckpt_err)?;
                     }
                 }
             }
@@ -707,30 +714,38 @@ impl ServiceSession {
         Ok(ServiceRun { report, journal })
     }
 
-    /// Persists a cadence snapshot (engine checkpoints first, the
-    /// service checkpoint last as the commit point).
+    /// Persists a cadence snapshot: the journal prefix, then the service
+    /// checkpoint with every suspended job's engine checkpoint embedded,
+    /// written atomically as the commit point. The engines' per-slice
+    /// series move into the checkpoint for the write and back out after.
+    #[allow(clippy::too_many_arguments)]
     fn persist(
         &self,
         workload: &Workload,
         seeds: &[u64],
         store: &CheckpointStore,
         state: &SchedulerState,
+        residents: &mut [Option<Box<Resident<'_>>>],
         journal: &Journal,
         fingerprint: u64,
     ) -> Result<(), eadt_ckpt::CkptError> {
         let jobs = workload.jobs();
-        for (i, engine) in state.engine.iter().enumerate() {
-            let Some(engine) = engine else { continue };
-            let ck = JobCheckpoint {
-                schema: JOB_CHECKPOINT_SCHEMA_VERSION,
-                job: i,
-                label: jobs[i].spec.display_label(),
-                algorithm: jobs[i].spec.kind.name().to_string(),
-                seed: seeds[i],
-                engine: (**engine).clone(),
-            };
-            store.save_job_checkpoint(&ck)?;
-        }
+        let tel = Telemetry::disabled();
+        let engines: Vec<JobCheckpoint> = residents
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, r)| {
+                let engine = r.as_mut()?.checkpoint(&tel)?;
+                Some(JobCheckpoint {
+                    schema: JOB_CHECKPOINT_SCHEMA_VERSION,
+                    job: i,
+                    label: jobs[i].spec.display_label(),
+                    algorithm: jobs[i].spec.kind.name().to_string(),
+                    seed: seeds[i],
+                    engine,
+                })
+            })
+            .collect();
         store.write(CheckpointStore::service_journal_name(), &journal.to_jsonl())?;
         let ck = ServiceCheckpoint {
             version: SERVICE_CHECKPOINT_SCHEMA_VERSION,
@@ -752,17 +767,26 @@ impl ServiceSession {
                 })
                 .collect(),
             journal_seq: journal.next_seq(),
+            engines,
         };
-        store.save_service_checkpoint(&ck)
+        let saved = store.save_service_checkpoint(&ck);
+        for jck in ck.engines {
+            if let Some(r) = &mut residents[jck.job] {
+                r.reclaim(jck.engine);
+            }
+        }
+        saved
     }
 
-    /// Rebuilds scheduler state and journal prefix from a checkpoint.
-    fn restore(
+    /// Rebuilds scheduler state, the suspended jobs' residents and the
+    /// journal prefix from a checkpoint.
+    fn reload<'a>(
         &self,
-        workload: &Workload,
+        workload: &'a Workload,
         seeds: &[u64],
         store: &CheckpointStore,
         ck: ServiceCheckpoint,
+        residents: &mut [Option<Box<Resident<'a>>>],
     ) -> Result<(SchedulerState, Journal), EadtError> {
         let jobs = workload.jobs();
         let mut state = SchedulerState::fresh(workload, self.policy);
@@ -812,18 +836,44 @@ impl ServiceSession {
         for &j in &ck.resident {
             state.phase[j as usize] = Phase::Resident;
         }
-        for &j in ck.queue.iter().chain(&ck.resident) {
-            let i = j as usize;
-            if let Some(jck) = store.load_job_checkpoint(i).map_err(ckpt_err)? {
-                jck.validate(i, &jobs[i].spec.display_label(), seeds[i])
-                    .map_err(ckpt_err)?;
-                state.engine[i] = Some(Box::new(jck.engine));
-            } else if state.phase[i] == Phase::Resident {
-                return Err(EadtError::io(
-                    CheckpointStore::checkpoint_name(i),
-                    "resident job's engine checkpoint is missing",
-                ));
+        // Each suspended job's engine becomes a live resident again. Only
+        // queued and resident jobs may carry one, at most once each, and
+        // every resident job must.
+        let corrupt =
+            |detail: String| EadtError::io(CheckpointStore::service_checkpoint_name(), detail);
+        for jck in ck.engines {
+            let i = jck.job;
+            let suspended =
+                i < jobs.len() && matches!(state.phase[i], Phase::Queued | Phase::Resident);
+            if !suspended || residents[i].is_some() {
+                return Err(corrupt(format!(
+                    "job {i} has an engine checkpoint but is not suspended, or has two"
+                )));
             }
+            jck.validate(i, &jobs[i].spec.display_label(), seeds[i])
+                .map_err(ckpt_err)?;
+            let (spec, seed) = (&jobs[i].spec, seeds[i]);
+            // The engine's restore panics on a configuration mismatch.
+            let restored = catch_unwind(AssertUnwindSafe(|| {
+                let mut resident = Box::new(Resident::new(spec, seed));
+                resident.restore(jck.engine, &mut Telemetry::disabled());
+                resident
+            }))
+            .map_err(|_| {
+                corrupt(format!(
+                    "job {i}'s engine checkpoint does not match its plan"
+                ))
+            })?;
+            residents[i] = Some(restored);
+        }
+        if let Some(&j) = ck
+            .resident
+            .iter()
+            .find(|&&j| residents[j as usize].is_none())
+        {
+            return Err(corrupt(format!(
+                "resident job {j} has no engine checkpoint"
+            )));
         }
         state.resident = ck.resident.iter().map(|&j| j as usize).collect();
         for &r in &state.resident {
@@ -953,7 +1003,6 @@ fn demands(spec: &JobSpec) -> (Rate, Rate) {
 
 /// One resident's work order for a round.
 struct AdvanceTask<'a> {
-    engine: Option<Box<EngineCheckpoint>>,
     share: ResourceShare,
     /// The job's live resident, moved through the task (and back with the
     /// result); `None` before its first advance.
@@ -962,9 +1011,9 @@ struct AdvanceTask<'a> {
 
 /// What one quantum produced for a resident.
 enum Advanced<'a> {
-    /// Still going: the checkpoint to carry into the next round, and the
-    /// resident to keep until then.
-    Halted(Box<EngineCheckpoint>, Box<Resident<'a>>),
+    /// Still going: the resident, with its live engine state, to keep
+    /// until the next round.
+    Halted(Box<Resident<'a>>),
     /// Ran to completion (or died — failures are booked as outcomes so
     /// one bad job cannot take the service down).
     Finished(Box<JobOutcome>),
@@ -979,22 +1028,18 @@ fn advance_job<'a>(
     task: AdvanceTask<'a>,
     quantum: u64,
 ) -> Advanced<'a> {
-    let AdvanceTask {
-        engine,
-        share,
-        resident,
-    } = task;
+    let AdvanceTask { share, resident } = task;
     let (job, seed) = (&jobs[index], seeds[index]);
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut resident = resident.unwrap_or_else(|| Box::new(Resident::new(&job.spec, seed)));
-        let outcome = resident.leg(engine, quantum, share, &mut Telemetry::disabled());
-        (outcome, resident)
+        let report = resident.leg(quantum, share, &mut Telemetry::disabled());
+        (report, resident)
     }));
     match result {
-        Ok((RunOutcome::Done(report), _)) => Advanced::Finished(Box::new(JobOutcome::from_report(
+        Ok((Some(report), _)) => Advanced::Finished(Box::new(JobOutcome::from_report(
             index, &job.spec, seed, &report, None,
         ))),
-        Ok((RunOutcome::Halted(engine), resident)) => Advanced::Halted(engine, resident),
+        Ok((None, resident)) => Advanced::Halted(resident),
         Err(payload) => Advanced::Finished(Box::new(JobOutcome::panicked(
             index,
             &job.spec,
@@ -1036,7 +1081,6 @@ struct SchedulerState {
     /// Each job's admission priority under the session's policy.
     rank: Vec<u32>,
     resident: Vec<usize>,
-    engine: Vec<Option<Box<EngineCheckpoint>>>,
     outcome: Vec<Option<Box<JobOutcome>>>,
     admitted_round: Vec<Option<u64>>,
     finished_round: Vec<Option<u64>>,
@@ -1068,7 +1112,6 @@ impl SchedulerState {
                 })
                 .collect(),
             resident: Vec::new(),
-            engine: (0..n).map(|_| None).collect(),
             outcome: (0..n).map(|_| None).collect(),
             admitted_round: vec![None; n],
             finished_round: vec![None; n],
@@ -1141,7 +1184,8 @@ impl SchedulerState {
         self.site_load[self.site_of[job]] += 1;
     }
 
-    /// Moves a resident to the back of the queue (keeps its engine state).
+    /// Moves a resident to the back of the queue (its resident, and with
+    /// it the engine state, stays with the job).
     fn evict(&mut self, job: usize) {
         self.resident.retain(|&r| r != job);
         self.site_load[self.site_of[job]] -= 1;
@@ -1229,7 +1273,7 @@ mod tests {
     use super::*;
     use crate::dispatch::JobRunner;
     use eadt_core::AlgorithmKind;
-    use eadt_transfer::RunControl;
+    use eadt_transfer::{RunControl, RunOutcome};
 
     fn pool(slots: u32) -> PoolCapacity {
         let tb = eadt_testbeds::didclab();
@@ -1481,7 +1525,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_rejects_a_job_listed_twice() {
+    fn resume_rejects_inconsistent_checkpoints() {
         let workload = two_tenant_workload(2);
         let dir = std::env::temp_dir().join(format!("eadt-service-dup-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1502,21 +1546,26 @@ mod tests {
         else {
             panic!("job too short to interrupt")
         };
-        store
-            .save_job_checkpoint(&JobCheckpoint {
-                schema: JOB_CHECKPOINT_SCHEMA_VERSION,
-                job: 0,
-                label: spec0.display_label(),
-                algorithm: spec0.kind.name().to_string(),
-                seed: seed0,
-                engine: *engine,
-            })
-            .unwrap();
+        let engine0 = JobCheckpoint {
+            schema: JOB_CHECKPOINT_SCHEMA_VERSION,
+            job: 0,
+            label: spec0.display_label(),
+            algorithm: spec0.kind.name().to_string(),
+            seed: seed0,
+            engine: *engine,
+        };
 
-        // Hand-written checkpoints, valid except that job 0 sits in two
-        // lists: finished and queued, then queued and resident.
-        for (queue, resident, finished) in [(vec![0], vec![], vec![0]), (vec![0], vec![0], vec![])]
-        {
+        // Hand-written checkpoints, valid except that: job 0 sits in two
+        // lists (finished and queued, then queued and resident); resident
+        // job 0 has no engine; finished job 0 has one; job 0 has two.
+        let cases = [
+            (vec![0], vec![], vec![0], 1, "listed more than once"),
+            (vec![0], vec![0], vec![], 1, "listed more than once"),
+            (vec![], vec![0], vec![1], 0, "resident job 0 has no engine"),
+            (vec![], vec![], vec![0, 1], 1, "not suspended"),
+            (vec![0], vec![], vec![1], 2, "or has two"),
+        ];
+        for (queue, resident, finished, engines, needle) in cases {
             store
                 .save_service_checkpoint(&ServiceCheckpoint {
                     version: SERVICE_CHECKPOINT_SCHEMA_VERSION,
@@ -1535,12 +1584,13 @@ mod tests {
                         })
                         .collect(),
                     journal_seq: 0,
+                    engines: vec![engine0.clone(); engines],
                 })
                 .unwrap();
             let err = session
                 .resume(&workload)
-                .expect_err("a job listed twice must not resume");
-            assert!(err.to_string().contains("listed more than once"), "{err}");
+                .expect_err("an inconsistent checkpoint must not resume");
+            assert!(err.to_string().contains(needle), "{err}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -9,7 +9,7 @@ use crate::spec::JobSpec;
 use eadt_ckpt::{CheckpointStore, CkptError, JobCheckpoint, JOB_CHECKPOINT_SCHEMA_VERSION};
 use eadt_sim::{EadtError, SimDuration};
 use eadt_telemetry::{EnergyLedger, MetricsRegistry, MetricsSnapshot, Telemetry};
-use eadt_transfer::{ResourceShare, RunControl, RunOutcome, TransferReport};
+use eadt_transfer::{ResourceShare, RunControl, TransferReport};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -248,9 +248,11 @@ fn execute_job(
 }
 
 /// Runs one job under the checkpoint cadence: halt every `every` slices,
-/// atomically persist the [`JobCheckpoint`], resume — so at any instant
-/// the directory holds a snapshot at most `every` slices stale. Store
-/// failures panic (booked as the job's outcome by the caller).
+/// atomically persist the [`JobCheckpoint`], continue — so at any instant
+/// the directory holds a snapshot at most `every` slices stale. The job's
+/// engine stays live between legs; a checkpoint is only made to be
+/// written. Store failures panic (booked as the job's outcome by the
+/// caller).
 fn run_job_checkpointed(
     cfg: &Checkpointing,
     metrics: Option<SimDuration>,
@@ -262,51 +264,54 @@ fn run_job_checkpointed(
     let every = cfg.every.max(1);
     let label = job.display_label();
     let mut resident = Resident::new(job, seed);
-    // One registry across legs is fine: a resume restores the registry's
-    // contents from the checkpoint before the engine moves, so the final
-    // snapshot is interrupt-invariant.
+    // One registry across legs: the live run keeps sampling into it, and
+    // a resume from disk restores its contents from the checkpoint.
     let mut tel = Telemetry::from_parts(None, metrics.map(MetricsRegistry::new));
-    let mut engine = store
+    if let Some(ck) = store
         .load_job_checkpoint(index)
         .unwrap_or_else(|e| panic!("{e}"))
-        .map(|ck| {
-            ck.validate(index, &label, seed)
-                .unwrap_or_else(|e| panic!("{e}"));
-            Box::new(ck.engine)
-        });
+    {
+        ck.validate(index, &label, seed)
+            .unwrap_or_else(|e| panic!("{e}"));
+        resident.restore(ck.engine, &mut tel);
+    }
     loop {
-        match resident.leg(engine, every, ResourceShare::FULL, &mut tel) {
-            RunOutcome::Done(report) => {
-                let snap = tel.metrics_ref().map(MetricsRegistry::snapshot);
-                return (report, snap);
-            }
-            RunOutcome::Halted(halted) => {
-                let ck = JobCheckpoint {
-                    schema: JOB_CHECKPOINT_SCHEMA_VERSION,
-                    job: index,
-                    label: label.clone(),
-                    algorithm: job.kind.name().to_string(),
-                    seed,
-                    engine: *halted,
-                };
-                store
-                    .save_job_checkpoint(&ck)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                engine = Some(Box::new(ck.engine));
-            }
+        if let Some(report) = resident.leg(every, ResourceShare::FULL, &mut tel) {
+            let snap = tel.metrics_ref().map(MetricsRegistry::snapshot);
+            return (report, snap);
+        }
+        if let Some(engine) = resident.checkpoint(&tel) {
+            let ck = JobCheckpoint {
+                schema: JOB_CHECKPOINT_SCHEMA_VERSION,
+                job: index,
+                label: label.clone(),
+                algorithm: job.kind.name().to_string(),
+                seed,
+                engine,
+            };
+            store
+                .save_job_checkpoint(&ck)
+                .unwrap_or_else(|e| panic!("{e}"));
+            resident.reclaim(ck.engine);
         }
     }
 }
 
-/// Writes a finished job's outcome and retires its engine checkpoint.
-pub(crate) fn persist_outcome(
+/// Writes a finished batch job's outcome and retires its engine
+/// checkpoint.
+fn persist_outcome(store: &CheckpointStore, outcome: &JobOutcome) -> Result<(), CkptError> {
+    write_outcome(store, outcome)?;
+    store.remove(&CheckpointStore::checkpoint_name(outcome.job))
+}
+
+/// Writes a finished job's `job-<i>.outcome.json`.
+pub(crate) fn write_outcome(
     store: &CheckpointStore,
     outcome: &JobOutcome,
 ) -> Result<(), CkptError> {
     let mut text = serde_json::to_string_pretty(outcome).unwrap_or_else(|_| "{}".to_string());
     text.push('\n');
-    store.write(&CheckpointStore::outcome_name(outcome.job), &text)?;
-    store.remove(&CheckpointStore::checkpoint_name(outcome.job))
+    store.write(&CheckpointStore::outcome_name(outcome.job), &text)
 }
 
 /// Loads a finished job's persisted outcome, if it exists and matches the
@@ -521,6 +526,7 @@ impl FleetReport {
 mod tests {
     use super::*;
     use eadt_core::AlgorithmKind;
+    use eadt_transfer::RunOutcome;
     use std::fs;
 
     fn small_jobs() -> Vec<JobSpec> {

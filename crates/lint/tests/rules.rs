@@ -158,7 +158,7 @@ fn hot_alloc_fixture_negative_is_clean() {
 fn hot_alloc_list_covers_the_kernel_and_its_helpers() {
     assert!(hot_alloc::is_hot(
         "crates/transfer/src/engine/mod.rs",
-        "run_controlled_in"
+        "run_leg"
     ));
     assert!(hot_alloc::is_hot(
         "crates/net/src/fair.rs",

@@ -3,30 +3,29 @@
 //!
 //! A checkpoint is taken *between* slices — after one slice's controller
 //! action has been applied and before the next slice's fault window
-//! opens. At that instant every piece of engine state lives in a small
-//! set of locals ([`Engine::run_controlled`]'s accumulators), the chunk
-//! runtime states, the fault runtime, the controller, and the telemetry
-//! sinks; [`EngineCheckpoint`] captures all of them. Restoring into a
-//! freshly built engine with the identical plan and environment resumes
-//! the run so that the completed report, the journal suffix, and every
-//! metric are **bit-identical** to an uninterrupted run (the chaos suite
-//! in `eadt-ckpt` asserts this across algorithms, testbeds and fault
+//! opens. At that instant the engine's state is a [`RunState`] (clock,
+//! accumulators, chunk runtimes, channel columns, fault runtime) plus
+//! the controller and the telemetry sinks; [`EngineCheckpoint`] captures
+//! all of them. [`Engine::checkpoint`] is the one conversion into the
+//! persistence format and [`Engine::restore`] the one conversion back:
+//! a run restored with the identical plan and environment continues so
+//! that the completed report, the journal suffix, and every metric are
+//! **bit-identical** to an uninterrupted run (the chaos suite in
+//! `eadt-ckpt` asserts this across algorithms, testbeds and fault
 //! regimes).
 //!
 //! All floating-point accumulators survive the JSON transport exactly:
 //! the vendored `serde_json` prints `f64` with shortest-roundtrip
 //! formatting, so `parse(print(x)) == x` bit-for-bit.
-//!
-//! [`Engine::run_controlled`]: super::Engine::run_controlled
 
-use super::{ChannelSoA, ChunkState, FileProgress};
-use crate::control::ControllerSnapshot;
+use super::{ChannelSoA, ChunkState, Engine, FileProgress, RunState, StageColumns};
+use crate::control::{Controller, ControllerSnapshot};
 use crate::env::TransferEnv;
 use crate::plan::TransferPlan;
 use crate::report::{ChunkStat, TransferReport};
-use crate::retry::FaultRuntimeSnapshot;
+use crate::retry::{FaultRuntime, FaultRuntimeSnapshot};
 use eadt_sim::{Bytes, SimDuration, SimTime, TimeSeries};
-use eadt_telemetry::{EnergyLedger, MetricsSnapshot, SpanCursor};
+use eadt_telemetry::{EnergyLedger, MetricsRegistry, MetricsSnapshot, SpanCursor, Telemetry};
 use serde::{Deserialize, Serialize};
 
 /// Version of the checkpoint schema. Bumped on any change to the
@@ -268,6 +267,207 @@ impl EngineCheckpoint {
             ));
         }
         Ok(ck)
+    }
+}
+
+impl Engine<'_> {
+    /// Converts a checkpoint back to the live state it captured — the
+    /// one way a run resumes from persisted state. The controller's state
+    /// is restored from its snapshot, and the telemetry's metrics
+    /// registry and open spans from theirs.
+    ///
+    /// The plan, environment, telemetry configuration and controller
+    /// *type* must be the ones the checkpoint was taken under: the config
+    /// fingerprint and the controller snapshot kind are checked and a
+    /// mismatch panics (callers that need a typed error — `eadt-ckpt` —
+    /// validate first).
+    ///
+    /// # Panics
+    /// Panics when resuming against a different configuration (schema
+    /// version, fingerprint, stage index or chunk count, fault-plan
+    /// presence, controller kind, or telemetry sinks not matching the
+    /// checkpoint).
+    pub fn restore(
+        &self,
+        plan: &TransferPlan,
+        controller: &mut dyn Controller,
+        tel: &mut Telemetry,
+        ck: EngineCheckpoint,
+    ) -> RunState {
+        let env = self.env;
+        assert_eq!(
+            ck.version, CHECKPOINT_SCHEMA_VERSION,
+            "checkpoint schema version mismatch"
+        );
+        assert_eq!(
+            ck.fingerprint,
+            config_fingerprint(env, plan),
+            "checkpoint was taken under a different plan/environment"
+        );
+        let stage = ck.stage as usize;
+        assert!(
+            stage < plan.stages.len(),
+            "checkpoint stage {} out of range ({} stages)",
+            ck.stage,
+            plan.stages.len()
+        );
+        assert_eq!(
+            ck.chunks.len(),
+            plan.stages[stage].chunks.len(),
+            "checkpoint chunk count does not match the stage"
+        );
+        let runtime = match (env.faults.as_ref().filter(|p| p.is_active()), &ck.faults) {
+            (Some(faults), Some(snap)) => Some(FaultRuntime::restore(
+                faults,
+                env.src.servers.len(),
+                env.dst.servers.len(),
+                snap,
+            )),
+            (None, None) => None,
+            (have_plan, _) => panic!(
+                "checkpoint fault state ({}) does not match the environment ({})",
+                if ck.faults.is_some() {
+                    "present"
+                } else {
+                    "absent"
+                },
+                if have_plan.is_some() {
+                    "active plan"
+                } else {
+                    "no plan"
+                },
+            ),
+        };
+        controller
+            .restore(&ck.controller)
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(
+            tel.metrics_ref().is_some(),
+            ck.metrics.is_some(),
+            "checkpoint metrics state does not match the telemetry configuration"
+        );
+        if let (Some(m), Some(snap)) = (tel.metrics(), &ck.metrics) {
+            *m = MetricsRegistry::restore(snap);
+        }
+        tel.set_open_spans(ck.open_spans);
+
+        // Channels re-enter the columns chunk by chunk, in index order,
+        // which is the chunk-major block layout the engine maintains.
+        let mut cols = StageColumns::default();
+        cols.begin_stage(ck.chunks.len());
+        let mut chunks = Vec::with_capacity(ck.chunks.len());
+        for (ci, snap) in ck.chunks.into_iter().enumerate() {
+            let ch = &mut cols.ch;
+            let start = ch.len();
+            let c = snap.into_state(ch, ci as u32);
+            let end = ch.len();
+            cols.chunk_start[ci] = start;
+            cols.chunk_len[ci] = end - start;
+            cols.chunk_in_flight[ci] = (start..end).filter(|&i| ch.has_file[i]).count() as u32;
+            let queued: Bytes = c.queue.iter().map(|f| f.remaining).sum();
+            let in_flight: Bytes = (start..end)
+                .filter(|&i| ch.has_file[i])
+                .map(|i| ch.file_remaining[i])
+                .sum();
+            cols.chunk_remaining[ci] = queued + in_flight;
+            chunks.push(c);
+        }
+        RunState {
+            stage,
+            chunks: Some(chunks),
+            cols,
+            now: ck.now,
+            slices_done: ck.slices_done,
+            estimated_energy: ck.estimated_energy_j,
+            retransmitted: ck.retransmitted,
+            chunk_stats: ck.chunk_stats,
+            ledger: ck.ledger,
+            horizon_end: ck.horizon_end,
+            moved_total: ck.moved_total,
+            wire_bytes_f: ck.wire_bytes_f,
+            throughput_series: ck.throughput_series,
+            power_series: ck.power_series,
+            concurrency_series: ck.concurrency_series,
+            audit_gross: ck.audit_gross,
+            audit_stage_requested: ck.audit_stage_requested,
+            prev_src_active: ck.prev_src_active,
+            prev_dst_active: ck.prev_dst_active,
+            runtime,
+        }
+    }
+
+    /// Converts a halted leg's live state to its checkpoint — the one
+    /// way a checkpoint is made, and only worth doing when something is
+    /// persisted. `controller` and `tel` must be the ones the run is
+    /// driven with.
+    ///
+    /// The per-slice series and finished-stage stats *move* into the
+    /// checkpoint instead of being copied, so the cost does not grow
+    /// with the run's length twice over. The state is left without
+    /// them: hand the checkpoint back with [`RunState::reclaim`] before
+    /// the next leg, or drop the state.
+    pub fn checkpoint(
+        &self,
+        plan: &TransferPlan,
+        state: &mut RunState,
+        controller: &dyn Controller,
+        tel: &Telemetry,
+    ) -> EngineCheckpoint {
+        let cols = &state.cols;
+        EngineCheckpoint {
+            version: CHECKPOINT_SCHEMA_VERSION,
+            fingerprint: config_fingerprint(self.env, plan),
+            stage: state.stage as u64,
+            now: state.now,
+            slices_done: state.slices_done,
+            estimated_energy_j: state.estimated_energy,
+            retransmitted: state.retransmitted,
+            ledger: state.ledger,
+            horizon_end: state.horizon_end,
+            open_spans: tel.open_spans().to_vec(),
+            moved_total: state.moved_total,
+            wire_bytes_f: state.wire_bytes_f,
+            audit_gross: state.audit_gross,
+            audit_stage_requested: state.audit_stage_requested,
+            chunk_stats: std::mem::take(&mut state.chunk_stats),
+            throughput_series: std::mem::take(&mut state.throughput_series),
+            power_series: std::mem::take(&mut state.power_series),
+            concurrency_series: std::mem::take(&mut state.concurrency_series),
+            // Every state a caller holds comes from a halt or a restore,
+            // so it is inside a stage and its chunks are present.
+            chunks: state
+                .chunks
+                .iter()
+                .flatten()
+                .enumerate()
+                .map(|(ci, c)| {
+                    ChunkSnapshot::of(c, &cols.ch, cols.chunk_start[ci], cols.chunk_len[ci])
+                })
+                .collect(),
+            prev_src_active: state.prev_src_active.clone(),
+            prev_dst_active: state.prev_dst_active.clone(),
+            faults: state.runtime.as_ref().map(FaultRuntime::snapshot),
+            controller: controller.snapshot(),
+            metrics: tel.metrics_ref().map(MetricsRegistry::snapshot),
+            journal_seq: tel.journal().map_or(0, |j| j.next_seq()),
+        }
+    }
+}
+
+impl RunState {
+    /// Takes back what [`Engine::checkpoint`] moved out of this state
+    /// (the per-slice series and finished-stage stats), so the run can
+    /// continue live after its checkpoint was persisted. `ck` must be
+    /// the checkpoint made from this state.
+    pub fn reclaim(&mut self, ck: EngineCheckpoint) {
+        debug_assert_eq!(
+            ck.slices_done, self.slices_done,
+            "reclaiming a checkpoint of another boundary"
+        );
+        self.chunk_stats = ck.chunk_stats;
+        self.throughput_series = ck.throughput_series;
+        self.power_series = ck.power_series;
+        self.concurrency_series = ck.concurrency_series;
     }
 }
 

@@ -44,7 +44,7 @@
 use crate::control::{ControlAction, Controller, FaultView, SliceCtx};
 use crate::env::TransferEnv;
 use crate::faults::{FaultCause, SiteSide};
-use crate::plan::TransferPlan;
+use crate::plan::{StagePlan, TransferPlan};
 use crate::report::TransferReport;
 use crate::retry::FaultRuntime;
 use eadt_dataset::FileSpec;
@@ -180,6 +180,129 @@ struct ChunkState {
     target: u32,
 }
 
+/// The running stage's channel columns and the per-chunk quantities
+/// that carry from slice to slice: channel state in chunk-major blocks,
+/// each block's position, and each chunk's in-flight file count and
+/// remaining bytes (maintained incrementally in exact integers).
+#[derive(Debug, Default)]
+struct StageColumns {
+    /// Flat per-channel columns, chunk-major.
+    ch: ChannelSoA,
+    /// First channel index of each chunk's block.
+    chunk_start: Vec<usize>,
+    /// Number of channels in each chunk's block.
+    chunk_len: Vec<usize>,
+    /// Files currently in flight on each chunk's channels.
+    chunk_in_flight: Vec<u32>,
+    /// Bytes still queued or in flight per chunk.
+    chunk_remaining: Vec<Bytes>,
+}
+
+impl StageColumns {
+    /// Empties the columns for a stage of `n` chunks.
+    fn begin_stage(&mut self, n: usize) {
+        self.ch.clear();
+        reset(&mut self.chunk_start, n, 0);
+        reset(&mut self.chunk_len, n, 0);
+        reset(&mut self.chunk_in_flight, n, 0);
+        reset(&mut self.chunk_remaining, n, Bytes::ZERO);
+    }
+
+    /// Sets the columns up for `stage` and returns its chunks as the plan
+    /// lays them out: full file queues, no channels yet.
+    fn start_stage(&mut self, stage: &StagePlan) -> Vec<ChunkState> {
+        self.begin_stage(stage.chunks.len());
+        stage
+            .chunks
+            .iter()
+            .enumerate()
+            .map(|(ci, cp)| {
+                let total = cp.total_bytes();
+                self.chunk_remaining[ci] = total;
+                ChunkState {
+                    label: cp.label.clone(),
+                    pipelining: cp.pipelining.max(1),
+                    parallelism: cp.parallelism.max(1),
+                    accepts_reallocation: cp.accepts_reallocation,
+                    total_bytes: total,
+                    file_count: cp.files.len(),
+                    completed_at: None,
+                    avg_file: if cp.files.is_empty() {
+                        Bytes::ZERO
+                    } else {
+                        Bytes(total.as_u64() / cp.files.len() as u64)
+                    },
+                    queue: cp.files.iter().copied().map(FileProgress::fresh).collect(),
+                    target: cp.channels,
+                }
+            })
+            .collect()
+    }
+}
+
+/// The live state of a run at a slice boundary (DESIGN.md §13): clock,
+/// accumulators, per-slice series, energy ledger, fault runtime and the
+/// running stage's chunks with their channel columns.
+///
+/// [`Engine::run_leg`] moves it into the slice loop at entry and hands
+/// it back at a halt, so a caller that keeps it between legs — the fleet
+/// service between quanta, a checkpoint cadence between persists —
+/// continues the run with no serialization at all. It is an
+/// [`EngineCheckpoint`] in memory: [`Engine::checkpoint`] converts it
+/// when something is persisted, and [`Engine::restore`] is the only way
+/// back. The controller and telemetry sinks stay with the caller.
+#[derive(Debug)]
+pub struct RunState {
+    /// Index of the running stage.
+    stage: usize,
+    /// The running stage's chunks; `None` until its preamble has run.
+    chunks: Option<Vec<ChunkState>>,
+    cols: StageColumns,
+    now: SimTime,
+    slices_done: u64,
+    estimated_energy: f64,
+    retransmitted: Bytes,
+    chunk_stats: Vec<crate::report::ChunkStat>,
+    /// Energy attribution (DESIGN.md §14): the per-site energy lives in
+    /// the ledger's phase buckets; the report totals are derived from
+    /// their fixed-order sum at the end of the run.
+    ledger: EnergyLedger,
+    /// End boundary (in `slices_done`) of the currently open horizon
+    /// span. Tracked only on journaled runs; `None` otherwise.
+    horizon_end: Option<u64>,
+    moved_total: Bytes,
+    wire_bytes_f: f64,
+    throughput_series: TimeSeries,
+    power_series: TimeSeries,
+    concurrency_series: TimeSeries,
+    /// Invariant-auditor state (DESIGN.md §10), updated only with the
+    /// `debug-invariants` feature.
+    audit_gross: Bytes,
+    audit_stage_requested: Bytes,
+    /// Last journaled power state per server (edge memory).
+    prev_src_active: Vec<bool>,
+    prev_dst_active: Vec<bool>,
+    runtime: Option<FaultRuntime>,
+}
+
+impl RunState {
+    /// Slices executed since the run began (replayed macro-step slices
+    /// count individually) — the base of the next leg's halt boundary.
+    pub fn slices_done(&self) -> u64 {
+        self.slices_done
+    }
+}
+
+/// What one [`Engine::run_leg`] produced.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+pub enum LegOutcome {
+    /// The run finished (or hit the time guard): the full report.
+    Done(TransferReport),
+    /// The run halted at the requested boundary: its live state.
+    Halted(RunState),
+}
+
 /// Executes [`TransferPlan`]s in a [`TransferEnv`].
 #[derive(Debug, Clone)]
 pub struct Engine<'a> {
@@ -247,12 +370,15 @@ impl<'a> Engine<'a> {
 
     /// [`Engine::run_controlled`] with a caller-owned [`SliceArena`]:
     /// all per-slice scratch state lives in `arena` and its buffer
-    /// capacity survives across calls, so repeated runs — the fleet
-    /// service re-advancing a job every quantum, benchmark loops —
-    /// allocate nothing once the arena is warm. The arena carries no
-    /// state between runs (every stage resets it); reusing one arena
+    /// capacity survives across calls, so repeated runs — benchmark
+    /// loops, one job's legs — allocate nothing once the arena is warm.
+    /// The arena carries no state between runs; reusing one arena
     /// across different plans, environments or resumed checkpoints is
     /// always sound and byte-identical to a fresh arena.
+    ///
+    /// This is one [`Engine::run_leg`] bracketed by the checkpoint
+    /// conversions: [`Engine::restore`] when `ctl` resumes, and
+    /// [`Engine::checkpoint`] when the leg halts.
     ///
     /// # Panics
     /// As [`Engine::run_controlled`].
@@ -264,119 +390,114 @@ impl<'a> Engine<'a> {
         ctl: RunControl,
         arena: &mut SliceArena,
     ) -> RunOutcome {
+        let state = ctl
+            .resume
+            .map(|ck| self.restore(plan, controller, tel, *ck));
+        match self.run_leg(
+            plan,
+            controller,
+            tel,
+            state,
+            ctl.halt_after,
+            ctl.share,
+            arena,
+        ) {
+            LegOutcome::Done(report) => RunOutcome::Done(report),
+            LegOutcome::Halted(mut state) => {
+                RunOutcome::Halted(Box::new(self.checkpoint(plan, &mut state, controller, tel)))
+            }
+        }
+    }
+
+    /// The state of a run that has not started: time zero, nothing
+    /// moved, and a fresh fault runtime when the environment's fault plan
+    /// is active.
+    fn start(&self) -> RunState {
+        let env = self.env;
+        RunState {
+            stage: 0,
+            chunks: None,
+            cols: StageColumns::default(),
+            now: SimTime::ZERO,
+            slices_done: 0,
+            estimated_energy: 0.0,
+            retransmitted: Bytes::ZERO,
+            chunk_stats: Vec::new(),
+            ledger: EnergyLedger::default(),
+            horizon_end: None,
+            moved_total: Bytes::ZERO,
+            wire_bytes_f: 0.0,
+            throughput_series: TimeSeries::new(),
+            power_series: TimeSeries::new(),
+            concurrency_series: TimeSeries::new(),
+            audit_gross: Bytes::ZERO,
+            audit_stage_requested: Bytes::ZERO,
+            prev_src_active: vec![false; env.src.servers.len()],
+            prev_dst_active: vec![false; env.dst.servers.len()],
+            runtime: env
+                .faults
+                .as_ref()
+                .filter(|p| p.is_active())
+                .map(|p| FaultRuntime::new(p, env.src.servers.len(), env.dst.servers.len())),
+        }
+    }
+
+    /// Runs one leg of the plan — from the start when `state` is `None`,
+    /// otherwise continuing it — to completion, or until the
+    /// executed-slice count reaches `halt_after` (an absolute count, see
+    /// [`RunControl::halt_after`]), under the resource `share`.
+    ///
+    /// A halted leg hands its state back live: passing it to the next
+    /// `run_leg` with the same plan, environment, controller and
+    /// telemetry sinks continues the run exactly as if it had never
+    /// stopped, and exactly as a resume from its [`Engine::checkpoint`]
+    /// would. The state moves in and out; nothing is serialized.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_leg(
+        &self,
+        plan: &TransferPlan,
+        controller: &mut dyn Controller,
+        tel: &mut Telemetry,
+        state: Option<RunState>,
+        halt_after: Option<u64>,
+        share: ResourceShare,
+        arena: &mut SliceArena,
+    ) -> LegOutcome {
         let env = self.env;
         let slice = env.tuning.slice;
         let slice_secs = slice.as_secs_f64();
         let rtt = env.link.rtt;
-        let fingerprint = config_fingerprint(env, plan);
-
-        let mut now = SimTime::ZERO;
-        let mut slices_done = 0u64;
-        let mut completed = true;
-        let mut estimated_energy = 0.0f64;
-        let mut runtime = env
-            .faults
-            .as_ref()
-            .filter(|p| p.is_active())
-            .map(|p| FaultRuntime::new(p, env.src.servers.len(), env.dst.servers.len()));
-        let mut retransmitted = Bytes::ZERO;
-        let mut chunk_stats: Vec<crate::report::ChunkStat> = Vec::new();
-        // Energy attribution (DESIGN.md §14): the per-site energy lives in
-        // the ledger's phase buckets; the report totals are derived from
-        // their fixed-order sum at the end of the run.
-        let mut ledger = EnergyLedger::default();
-        // End boundary (in `slices_done`) of the currently open horizon
-        // span. Tracked only on journaled runs; `None` otherwise.
-        let mut horizon_end: Option<u64> = None;
-        let mut moved_total = Bytes::ZERO;
-        let mut wire_bytes_f = 0.0f64;
-        let mut throughput_series = TimeSeries::new();
-        let mut power_series = TimeSeries::new();
-        let mut concurrency_series = TimeSeries::new();
         let requested = plan.total_bytes();
+        let mut completed = true;
 
-        // Invariant-auditor state (DESIGN.md §10). The `cfg!` guards make
-        // every update and assertion compile away without the
-        // `debug-invariants` feature, keeping the hot loop untouched.
-        let mut audit_gross = Bytes::ZERO;
-        let mut audit_stage_requested = Bytes::ZERO;
-
-        let mut prev_src_active = vec![false; env.src.servers.len()];
-        let mut prev_dst_active = vec![false; env.dst.servers.len()];
-
-        // Resume: overwrite the fresh state with the checkpoint's after
-        // validating that the configuration is the one it was taken under.
-        let mut start_stage = 0usize;
-        let mut resume_chunks: Option<Vec<ChunkSnapshot>> = None;
-        if let Some(ck) = ctl.resume {
-            let ck = *ck;
-            assert_eq!(
-                ck.version, CHECKPOINT_SCHEMA_VERSION,
-                "checkpoint schema version mismatch"
-            );
-            assert_eq!(
-                ck.fingerprint, fingerprint,
-                "checkpoint was taken under a different plan/environment"
-            );
-            assert!(
-                (ck.stage as usize) < plan.stages.len(),
-                "checkpoint stage {} out of range ({} stages)",
-                ck.stage,
-                plan.stages.len()
-            );
-            runtime = match (runtime.is_some(), &ck.faults) {
-                (true, Some(snap)) => Some(FaultRuntime::restore(
-                    env.faults.as_ref().expect("runtime implies a plan"),
-                    env.src.servers.len(),
-                    env.dst.servers.len(),
-                    snap,
-                )),
-                (false, None) => None,
-                (have_plan, _) => panic!(
-                    "checkpoint fault state ({}) does not match the environment ({})",
-                    if ck.faults.is_some() {
-                        "present"
-                    } else {
-                        "absent"
-                    },
-                    if have_plan { "active plan" } else { "no plan" },
-                ),
-            };
-            controller
-                .restore(&ck.controller)
-                .unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(
-                tel.metrics_ref().is_some(),
-                ck.metrics.is_some(),
-                "checkpoint metrics state does not match the telemetry configuration"
-            );
-            if let (Some(m), Some(snap)) = (tel.metrics(), &ck.metrics) {
-                *m = MetricsRegistry::restore(snap);
-            }
-            now = ck.now;
-            slices_done = ck.slices_done;
-            estimated_energy = ck.estimated_energy_j;
-            retransmitted = ck.retransmitted;
-            chunk_stats = ck.chunk_stats;
-            ledger = ck.ledger;
-            horizon_end = ck.horizon_end;
-            tel.set_open_spans(ck.open_spans);
-            moved_total = ck.moved_total;
-            wire_bytes_f = ck.wire_bytes_f;
-            throughput_series = ck.throughput_series;
-            power_series = ck.power_series;
-            concurrency_series = ck.concurrency_series;
-            audit_gross = ck.audit_gross;
-            audit_stage_requested = ck.audit_stage_requested;
-            prev_src_active = ck.prev_src_active;
-            prev_dst_active = ck.prev_dst_active;
-            start_stage = ck.stage as usize;
-            resume_chunks = Some(ck.chunks);
-        }
+        // The slice loop works on locals: the state moves in here and
+        // back out at a halt.
+        let RunState {
+            stage: start_stage,
+            chunks: mut running,
+            mut cols,
+            mut now,
+            mut slices_done,
+            mut estimated_energy,
+            mut retransmitted,
+            mut chunk_stats,
+            mut ledger,
+            mut horizon_end,
+            mut moved_total,
+            mut wire_bytes_f,
+            mut throughput_series,
+            mut power_series,
+            mut concurrency_series,
+            mut audit_gross,
+            mut audit_stage_requested,
+            mut prev_src_active,
+            mut prev_dst_active,
+            mut runtime,
+        } = state.unwrap_or_else(|| self.start());
 
         // Telemetry wiring. `journaling` is the single branch every event
         // hook reduces to when telemetry is off. Capture flags are not
-        // part of checkpoints; they are re-derived here, after restore.
+        // part of the state; they are re-derived at every leg.
         let journaling = tel.journaling();
         let gauges = tel.metrics().map(EngineGauges::register);
         if journaling {
@@ -390,22 +511,17 @@ impl<'a> Engine<'a> {
             if stage_idx < start_stage {
                 continue;
             }
-            // A mid-stage resume rebuilds the running stage's chunks from
-            // the checkpoint (and skips the stage preamble — its events
-            // and audit booking happened before the checkpoint was taken).
-            let resumed = resume_chunks.take();
-            let resumed_mid_stage = resumed.is_some();
+            // A leg that continues a stage picks up its chunks as they
+            // are (and skips the stage preamble — its events and audit
+            // booking happened in an earlier leg).
+            let continued = running.take();
+            let resumed_mid_stage = continued.is_some();
 
-            // Reset the arena's per-chunk columns and split it into
+            // Reset the arena's per-chunk scratch and split it into
             // per-field borrows the whole stage holds at once. Buffer
-            // capacity persists across stages and runs.
+            // capacity persists across stages and legs.
             arena.begin_stage(stage.chunks.len());
             let SliceArena {
-                ch,
-                chunk_start,
-                chunk_len,
-                chunk_in_flight,
-                chunk_remaining,
                 chunk_cap,
                 chunk_gap,
                 chunk_duty,
@@ -434,60 +550,20 @@ impl<'a> Engine<'a> {
                 disk,
             } = &mut *arena;
 
-            let mut chunks: Vec<ChunkState> = match resumed {
-                Some(snaps) => {
-                    assert_eq!(
-                        snaps.len(),
-                        stage.chunks.len(),
-                        "checkpoint chunk count does not match the stage"
-                    );
-                    let mut out = Vec::with_capacity(snaps.len());
-                    for (ci, snap) in snaps.into_iter().enumerate() {
-                        let start = ch.len();
-                        let c = snap.into_state(ch, ci as u32);
-                        let len = ch.len() - start;
-                        chunk_start[ci] = start;
-                        chunk_len[ci] = len;
-                        chunk_in_flight[ci] =
-                            (start..start + len).filter(|&i| ch.has_file[i]).count() as u32;
-                        let queued: Bytes = c.queue.iter().map(|f| f.remaining).sum();
-                        let in_flight: Bytes = (start..start + len)
-                            .filter(|&i| ch.has_file[i])
-                            .map(|i| ch.file_remaining[i])
-                            .sum();
-                        chunk_remaining[ci] = queued + in_flight;
-                        out.push(c);
-                    }
-                    out
-                }
-                None => stage
-                    .chunks
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, cp)| {
-                        let total = cp.total_bytes();
-                        chunk_remaining[ci] = total;
-                        ChunkState {
-                            label: cp.label.clone(),
-                            pipelining: cp.pipelining.max(1),
-                            parallelism: cp.parallelism.max(1),
-                            accepts_reallocation: cp.accepts_reallocation,
-                            total_bytes: total,
-                            file_count: cp.files.len(),
-                            completed_at: None,
-                            avg_file: if cp.files.is_empty() {
-                                Bytes::ZERO
-                            } else {
-                                Bytes(total.as_u64() / cp.files.len() as u64)
-                            },
-                            queue: cp.files.iter().copied().map(FileProgress::fresh).collect(),
-                            target: cp.channels,
-                        }
-                    })
-                    .collect(),
+            let mut chunks = match continued {
+                Some(chunks) => chunks,
+                None => cols.start_stage(stage),
             };
+            let StageColumns {
+                ch,
+                chunk_start,
+                chunk_len,
+                chunk_in_flight,
+                chunk_remaining,
+            } = &mut cols;
             // The channel rate ceiling depends only on the chunk's (fixed)
-            // parallelism: computed once per stage, read every slice.
+            // parallelism: computed once per stage and leg, read every
+            // slice.
             for (ci, c) in chunks.iter().enumerate() {
                 chunk_cap[ci] = env.channel_cap(c.parallelism);
             }
@@ -518,41 +594,32 @@ impl<'a> Engine<'a> {
                 .enumerate()
                 .any(|(ci, c)| !c.queue.is_empty() || chunk_in_flight[ci] > 0)
             {
-                // Checkpoint boundary: between slices, before the next
-                // slice's fault window opens. All controller/runtime event
-                // buffers are drained here, making the snapshot complete.
-                if ctl.halt_after.is_some_and(|h| slices_done >= h) {
-                    return RunOutcome::Halted(Box::new(EngineCheckpoint {
-                        version: CHECKPOINT_SCHEMA_VERSION,
-                        fingerprint,
-                        stage: stage_idx as u64,
+                // Halt boundary: between slices, before the next slice's
+                // fault window opens, with every controller/runtime event
+                // buffer drained. The state moves back out as it is.
+                if halt_after.is_some_and(|h| slices_done >= h) {
+                    return LegOutcome::Halted(RunState {
+                        stage: stage_idx,
+                        chunks: Some(chunks),
+                        cols,
                         now,
                         slices_done,
-                        estimated_energy_j: estimated_energy,
+                        estimated_energy,
                         retransmitted,
+                        chunk_stats,
                         ledger,
                         horizon_end,
-                        open_spans: tel.open_spans().to_vec(),
                         moved_total,
                         wire_bytes_f,
-                        audit_gross,
-                        audit_stage_requested,
-                        chunk_stats,
                         throughput_series,
                         power_series,
                         concurrency_series,
-                        chunks: chunks
-                            .iter()
-                            .enumerate()
-                            .map(|(ci, c)| ChunkSnapshot::of(c, ch, chunk_start[ci], chunk_len[ci]))
-                            .collect(),
+                        audit_gross,
+                        audit_stage_requested,
                         prev_src_active,
                         prev_dst_active,
-                        faults: runtime.as_ref().map(FaultRuntime::snapshot),
-                        controller: controller.snapshot(),
-                        metrics: tel.metrics_ref().map(MetricsRegistry::snapshot),
-                        journal_seq: tel.journal().map_or(0, |j| j.next_seq()),
-                    }));
+                        runtime,
+                    });
                 }
                 // A horizon span closes at the first boundary at/after its
                 // promised end. This sits after the halt check — a halted
@@ -835,7 +902,7 @@ impl<'a> Engine<'a> {
                 // Pool arbitration (multi-tenant sites) scales the shared
                 // link capacity; the default 1.0 grant is an exact FP
                 // identity, so solo runs are byte-for-byte unchanged.
-                let capacity = env.link.bandwidth * (eff * bg * ctl.share.bandwidth);
+                let capacity = env.link.bandwidth * (eff * bg * share.bandwidth);
 
                 // Demands: per-channel ceiling from the window/process
                 // model scaled by the channel's control-plane duty cycle
@@ -875,14 +942,14 @@ impl<'a> Engine<'a> {
                         .as_ref()
                         .map_or(1.0, |rt| rt.disk_factor(SiteSide::Src, srv));
                     env.src.servers[srv].disk.aggregate_rate(src_chan[srv])
-                        * (factor * ctl.share.src_disk)
+                        * (factor * share.src_disk)
                 });
                 apply_disk_fairness(demands, dst_assign, dst_chan, disk, |srv| {
                     let factor = runtime
                         .as_ref()
                         .map_or(1.0, |rt| rt.disk_factor(SiteSide::Dst, srv));
                     env.dst.servers[srv].disk.aggregate_rate(dst_chan[srv])
-                        * (factor * ctl.share.dst_disk)
+                        * (factor * share.dst_disk)
                 });
 
                 // Grants are time-averaged rates; while a channel is
@@ -1432,7 +1499,7 @@ impl<'a> Engine<'a> {
                                 // resumed run recomputes the remainder (a
                                 // promised slice re-executed normally is
                                 // state-identical by the promise contract).
-                                if ctl.halt_after.is_some_and(|h| slices_done >= h) {
+                                if halt_after.is_some_and(|h| slices_done >= h) {
                                     break;
                                 }
                             }
@@ -1498,7 +1565,7 @@ impl<'a> Engine<'a> {
                 "invariant: ledger phases must sum to the report energy bit-exactly"
             );
         }
-        RunOutcome::Done(TransferReport {
+        LegOutcome::Done(TransferReport {
             schema: crate::report::REPORT_SCHEMA_VERSION,
             requested_bytes: requested,
             moved_bytes: moved_total,
@@ -1545,27 +1612,15 @@ fn rebalance_targets(
     // exactly MinE's behaviour once only pinned Large chunks remain.
 }
 
-/// The engine's reusable scratch arena (DESIGN.md §17): the flat
-/// [`ChannelSoA`] channel columns, the per-chunk hot state, and every
-/// per-slice buffer the kernel touches, owned in one place so buffer
-/// capacity survives across slices, stages, and — via
-/// [`Engine::run_controlled_in`] — across whole runs (the fleet service
-/// keeps one arena per slot and re-advances jobs through it every
-/// quantum). The arena carries no semantic state between runs; reusing
-/// it is always byte-identical to starting fresh.
+/// The engine's reusable scratch arena (DESIGN.md §17): every per-slice
+/// buffer the kernel touches, owned in one place so buffer capacity
+/// survives across slices, stages, and — via [`Engine::run_leg`] —
+/// across legs and whole runs. The state that carries from slice to
+/// slice (the channel columns among it) lives in [`RunState`]; the
+/// arena holds none, so reusing it is always byte-identical to starting
+/// fresh.
 #[derive(Debug, Default, Clone)]
 pub struct SliceArena {
-    /// Flat per-channel columns, chunk-major.
-    ch: ChannelSoA,
-    /// First channel index of each chunk's block.
-    chunk_start: Vec<usize>,
-    /// Number of channels in each chunk's block.
-    chunk_len: Vec<usize>,
-    /// Files currently in flight on each chunk's channels.
-    chunk_in_flight: Vec<u32>,
-    /// Bytes still queued or in flight per chunk, maintained
-    /// incrementally in exact integer arithmetic.
-    chunk_remaining: Vec<Bytes>,
     /// Per-channel rate ceiling of each chunk (stage-constant).
     chunk_cap: Vec<Rate>,
     /// Inter-file control gap of each chunk this slice.
@@ -1612,14 +1667,9 @@ pub struct SliceArena {
 }
 
 impl SliceArena {
-    /// Resets the channel columns and per-chunk arrays for a stage of
-    /// `n` chunks, keeping every buffer's capacity.
+    /// Resets the per-chunk scratch arrays for a stage of `n` chunks,
+    /// keeping every buffer's capacity.
     fn begin_stage(&mut self, n: usize) {
-        self.ch.clear();
-        reset(&mut self.chunk_start, n, 0);
-        reset(&mut self.chunk_len, n, 0);
-        reset(&mut self.chunk_in_flight, n, 0);
-        reset(&mut self.chunk_remaining, n, Bytes::ZERO);
         reset(&mut self.chunk_cap, n, Rate::ZERO);
         reset(&mut self.chunk_gap, n, SimDuration::ZERO);
         reset(&mut self.chunk_duty, n, 1.0);

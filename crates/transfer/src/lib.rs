@@ -51,7 +51,8 @@ pub use control_channel::{
 };
 pub use engine::{
     config_fingerprint, ChannelSnapshot, ChunkSnapshot, Engine, EngineCheckpoint, FileSnapshot,
-    ResourceShare, RunControl, RunOutcome, SliceArena, CHECKPOINT_SCHEMA_VERSION,
+    LegOutcome, ResourceShare, RunControl, RunOutcome, RunState, SliceArena,
+    CHECKPOINT_SCHEMA_VERSION,
 };
 pub use env::{EngineTuning, TransferEnv};
 pub use faults::{

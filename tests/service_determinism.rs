@@ -242,3 +242,77 @@ fn strict_priority_tie_breaks_follow_queue_order() {
     assert_eq!(baseline.journal.to_jsonl(), got.journal.to_jsonl());
     assert_eq!(baseline.report.to_json(), got.report.to_json());
 }
+
+/// The mix of `eadt serve --testbed xsede --algorithms mine,htee,slaee,promc
+/// --jobs 12 --tenants 3 --slots 3 --arrival-gap 5 --scale 0.02`: every
+/// tenant's priority is its index, and jobs keep finishing between the
+/// checkpoint cadence's commits.
+fn controller_mix_workload() -> Workload {
+    let tb = eadt::testbeds::xsede();
+    let cap = PoolCapacity::from_servers(tb.env.link.bandwidth, &tb.env.src.servers, 3);
+    let kinds = [
+        AlgorithmKind::MinE,
+        AlgorithmKind::Htee,
+        AlgorithmKind::Slaee,
+        AlgorithmKind::ProMc,
+    ];
+    (0..12).fold(
+        Workload::new().site("xsede", cap).arrival_gap_s(5.0),
+        |w, i| {
+            let tenant = (i % 3) as u32;
+            w.job(
+                ServiceJob::new(
+                    JobSpec::new(kinds[i % kinds.len()], tb.clone())
+                        .with_scale(0.02)
+                        .with_max_channel(8),
+                    "xsede",
+                )
+                .with_tenant(tenant)
+                .with_priority(tenant),
+            )
+        },
+    )
+}
+
+/// Resuming a checkpointed run that already finished replays the rounds
+/// after its last commit. The commit must hold every engine those rounds
+/// need — also for the jobs that finished after it — and the replay must
+/// reproduce the straight run byte for byte.
+#[test]
+fn resuming_a_finished_checkpointed_run_reproduces_it() {
+    let workload = controller_mix_workload();
+    let session = |dir: Option<&std::path::Path>| {
+        let builder = ServiceSession::builder()
+            .root_seed(8)
+            .workers(2)
+            .policy(ArbitrationPolicy::StrictPriority)
+            .quantum(20);
+        match dir {
+            Some(dir) => builder.checkpoints(dir, 7),
+            None => builder,
+        }
+        .build()
+    };
+    let straight = session(None).run(&workload).expect("workload is valid");
+    assert_eq!(straight.report.completed_count(), 12);
+    assert!(straight
+        .journal
+        .to_jsonl()
+        .contains("\"ev\":\"job_resumed\""));
+
+    let dir = std::env::temp_dir().join(format!(
+        "eadt-service-finished-resume-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let checkpointed = session(Some(&dir));
+    let first = checkpointed.run(&workload).expect("checkpointed run");
+    assert_eq!(first.report.to_json(), straight.report.to_json());
+    assert_eq!(first.journal.to_jsonl(), straight.journal.to_jsonl());
+    let resumed = checkpointed
+        .resume(&workload)
+        .expect("resume of a finished run");
+    assert_eq!(resumed.report.to_json(), straight.report.to_json());
+    assert_eq!(resumed.journal.to_jsonl(), straight.journal.to_jsonl());
+    let _ = std::fs::remove_dir_all(&dir);
+}
