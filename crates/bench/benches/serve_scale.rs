@@ -6,16 +6,17 @@
 //! Each point runs its job count until it has run [`JOBS_PER_POINT`]
 //! jobs, so every point averages the host over about the same stretch of
 //! time. For each job count it records jobs/s, process CPU ms per job,
-//! the heap the workload itself holds, the heap a finished run still
-//! holds, and the peak live heap of building and running it, under the
-//! `serve_scale` key of `BENCH_fleet.json`, with the host and this
-//! command. Regenerate with:
+//! the scheduler rounds of one run and the host time per round (call
+//! time over rounds), the heap the workload itself holds, the heap a
+//! finished run still holds, and the peak live heap of building and
+//! running it, under the `serve_scale` key of `BENCH_fleet.json`, with
+//! the host and this command. Regenerate with:
 //!
 //! ```text
 //! cargo bench -p eadt-bench --bench serve_scale
 //! ```
 //!
-//! It takes about eight minutes on two cores.
+//! It takes about three minutes on two cores.
 
 use criterion::measurement::WallTime;
 use eadt_bench::fleet::{merge_into_bench_json, serve_session, serve_workload};
@@ -179,6 +180,7 @@ fn main() {
             "jobs_per_s": total_jobs / p.wall_s,
             "cpu_ms_per_job": p.cpu_s * 1e3 / total_jobs,
             "rounds": p.rounds,
+            "us_per_round": p.wall_s * 1e6 / (p.rounds as f64 * p.repeats as f64),
             "preemptions": p.preemptions,
             "journal_records": p.journal_records,
             "workload_heap_mb": p.workload_bytes as f64 / MB,
